@@ -87,9 +87,9 @@ def cmd_table1(args) -> int:
 def cmd_count(args) -> int:
     """Per-Q Pauli-string counts of the potential term in the spec's basis."""
     spec = load_hamiltonian_spec(args.spec)
-    q_lo = args.q_min or spec.config.qubits_per_boson
-    q_hi = args.q_max or q_lo
-    if q_lo < 1 or q_hi < q_lo:
+    q_lo = spec.config.qubits_per_boson if args.q_min is None else args.q_min
+    q_hi = q_lo if args.q_max is None else args.q_max
+    if q_hi < q_lo:
         raise SpecFileError(f"bad Q range [{q_lo}, {q_hi}]")
     header = ["Q", "basis", "n_pauli", "n_nontrivial", "raw_strings", "census"]
     rows = []
@@ -207,10 +207,23 @@ def cmd_blockenc(args) -> int:
 
 # -- parser ---------------------------------------------------------------------------
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if 0 <= value < float("inf"):  # false for nan
+        return value
+    raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+
+
+def _positive_int(text: str) -> int:
+    if int(text) >= 1:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+
+
 def _add_common(p: argparse.ArgumentParser, tol_default, tol_help: str) -> None:
     p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--tol", type=float, default=tol_default, help=tol_help)
+    p.add_argument("--tol", type=_tolerance, default=tol_default, help=tol_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,15 +234,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table1", help="Fock-basis x/p string counts vs Q*2^(Q-1)")
-    p.add_argument("--q-max", type=int, default=TABLE1_MAX_Q,
+    p.add_argument("--q-max", type=_positive_int, default=TABLE1_MAX_Q,
                    help=f"largest Q (default {TABLE1_MAX_Q})")
     _add_common(p, RELATIVE_PRUNE_TOL, "relative pruning tolerance for coefficients")
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("count", help="per-Q Pauli-string counts for a Hamiltonian spec")
     p.add_argument("spec", help="Hamiltonian spec file (JSON)")
-    p.add_argument("--q-min", type=int, help="sweep start (default: spec's Q)")
-    p.add_argument("--q-max", type=int, help="sweep end (default: q-min)")
+    p.add_argument("--q-min", type=_positive_int, help="sweep start (default: spec's Q)")
+    p.add_argument("--q-max", type=_positive_int, help="sweep end (default: q-min)")
     _add_common(p, RELATIVE_PRUNE_TOL, "relative pruning tolerance for coefficients")
     p.set_defaults(func=cmd_count)
 

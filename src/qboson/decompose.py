@@ -1,9 +1,10 @@
-"""Pauli-string decomposition of Hermitian matrices by two independent routes.
+"""Pauli-string decomposition of square matrices by two independent routes.
 
-``decompose_trace`` sweeps all 4**n strings and projects with trace inner
-products; it is the oracle and is capped at small n. ``decompose_tensorized``
-splits the matrix into quadrants on the most-significant qubit and recurses,
-which stays cheap for sparse operators and reaches the n = 14 regime.
+The string (x, z) is i^|x&z| (-1)^|z&col| at row = col XOR x and zero elsewhere,
+so the strings sharing an x are a Walsh–Hadamard transform over col of the XOR
+diagonal x. ``decompose_trace``, the oracle capped at small n, forms it as a
+sign-matrix product; ``decompose_tensorized`` runs it as a fast butterfly
+(Jones, arXiv:2401.16378), and ``reconstruct`` runs the butterfly backwards.
 """
 from __future__ import annotations
 
@@ -14,6 +15,11 @@ from .pauli import RELATIVE_PRUNE_TOL, PauliSum
 from .sparse import SparseOperator, qubit_count
 
 TRACE_QUBIT_CAP = 8
+
+# complex entries in one batch of transformed diagonals (16 MiB)
+BATCH_ENTRIES = 1 << 20
+
+_I_POWERS = np.array([1, 1j, -1, -1j])  # i**k for k mod 4; conjugate gives (-i)**k
 
 
 def decompose_trace(op: SparseOperator, cap: int = TRACE_QUBIT_CAP,
@@ -45,71 +51,57 @@ def decompose_trace(op: SparseOperator, cap: int = TRACE_QUBIT_CAP,
     return PauliSum(n, coeffs).prune(rel_tol)
 
 
+def _transformed_diagonals(dim: int, xs, index, vals):
+    """Group entries by x, scatter each group at ``index`` into a length-dim row,
+    and yield (x values, rows after the Walsh–Hadamard butterfly) per batch."""
+    keys, group = np.unique(xs, return_inverse=True)
+    order = np.argsort(group, kind="stable")
+    group, index, vals = group[order], index[order], vals[order]
+    per = max(1, BATCH_ENTRIES // dim)
+    for start in range(0, keys.size, per):
+        lo, hi = np.searchsorted(group, [start, start + per])
+        work = np.zeros((min(per, keys.size - start), dim), dtype=np.complex128)
+        work[group[lo:hi] - start, index[lo:hi]] = vals[lo:hi]
+        # most significant bit first; the rounding residues that --tol 0 counts
+        # depend on this order (README)
+        for bit in reversed(range(dim.bit_length() - 1)):
+            pairs = work.reshape(len(work), -1, 2, 1 << bit)
+            low, high = pairs[:, :, 0], pairs[:, :, 1]
+            low[...], high[...] = low + high, low - high
+        yield keys[start:start + per], work
+
+
 def decompose_tensorized(op: SparseOperator,
                          rel_tol: float = RELATIVE_PRUNE_TOL) -> PauliSum:
-    """Recursive quadrant split on the most-significant qubit.
+    """coeff(x, z) = (-i)^|x&z| / 2**n * sum_col (-1)^|z&col| M[col ^ x, col].
 
-    For M with blocks [[A, B], [C, D]] (block index = top bit), recurse on
-    (A+D)/2 -> I, (B+C)/2 -> X, i(B-C)/2 -> Y, (A-D)/2 -> Z. Exactly-zero
-    blocks are dropped as they appear, so sparse inputs stay sparse all the
-    way down; worst-case memory is O(4**n) coefficients.
-    """
+    Prunes as ``PauliSum.prune(rel_tol)``; batches pre-prune against the largest
+    magnitude so far, which is never above the final one."""
     n = qubit_count(op.dim)
-    coeffs: dict[tuple[int, int], complex] = {}
-    entries = op.entry_dict()
-
-    def recurse(items: dict[tuple[int, int], complex], k: int, x: int, z: int) -> None:
-        if not items:
-            return
-        if k == 0:
-            c = items.get((0, 0))
-            if c:
-                coeffs[(x, z)] = coeffs.get((x, z), 0.0) + c
-            return
-        h = 1 << (k - 1)
-        quad_a: dict[tuple[int, int], complex] = {}
-        quad_b: dict[tuple[int, int], complex] = {}
-        quad_c: dict[tuple[int, int], complex] = {}
-        quad_d: dict[tuple[int, int], complex] = {}
-        for (r, c), v in items.items():
-            if r < h:
-                (quad_a if c < h else quad_b)[(r, c % h)] = v
-            else:
-                (quad_c if c < h else quad_d)[(r - h, c % h)] = v
-        bit = h
-        recurse(_combine(quad_a, quad_d, 0.5), k - 1, x, z)               # I
-        recurse(_combine(quad_a, quad_d, 0.5, -1.0), k - 1, x, z | bit)   # Z
-        recurse(_combine(quad_b, quad_c, 0.5), k - 1, x | bit, z)         # X
-        recurse(_combine(quad_b, quad_c, 0.5j, -1.0), k - 1, x | bit, z | bit)  # Y
-
-    recurse(entries, n, 0, 0)
-    return PauliSum(n, coeffs).prune(rel_tol)
-
-
-def _combine(first, second, scale, sign=1.0):
-    out = dict(first)
-    for rc, v in second.items():
-        w = out.get(rc, 0.0) + sign * v
-        if w:
-            out[rc] = w
-        elif rc in out:
-            del out[rc]
-    return {rc: v * scale for rc, v in out.items()}
+    found, peak = [], 0.0
+    # dim is a power of two, so dividing before the butterfly is exact
+    for xs, work in _transformed_diagonals(op.dim, op.rows ^ op.cols, op.cols, op.vals / op.dim):
+        mags = np.abs(work)
+        peak = max(peak, float(mags.max()))
+        g, z = np.nonzero(mags > rel_tol * peak)
+        found.append((xs[g], z, work[g, z] * _I_POWERS[np.bitwise_count(xs[g] & z) % 4].conj()))
+    if not found:
+        return PauliSum(n)
+    xs, zs, coeffs = (np.concatenate(parts) for parts in zip(*found))
+    keep = np.abs(coeffs) > rel_tol * peak
+    return PauliSum(n, dict(zip(zip(xs[keep].tolist(), zs[keep].tolist()), coeffs[keep].tolist())))
 
 
 def reconstruct(psum: PauliSum) -> SparseOperator:
-    """Sum of coefficient * string matrix over all terms."""
+    """Sum of coefficient * string matrix: the decomposition butterfly backwards."""
     dim = 1 << psum.n_qubits
-    rows_all, cols_all, vals_all = [], [], []
-    cols = np.arange(dim)
-    popc = np.bitwise_count
-    for t in psum.terms():
-        signs = 1.0 - 2.0 * (popc(cols & t.z_mask) & 1)
-        phase = 1j ** (t.n_y % 4)
-        rows_all.append(cols ^ t.x_mask)
-        cols_all.append(cols)
-        vals_all.append(t.coefficient * phase * signs)
-    if not rows_all:
+    if not len(psum):
         return SparseOperator.zeros(dim)
-    return SparseOperator(dim, np.concatenate(rows_all),
-                          np.concatenate(cols_all), np.concatenate(vals_all))
+    keys, coeffs = zip(*psum.items())
+    xs, zs = np.array(keys, dtype=np.int64).T
+    coeffs = np.array(coeffs, dtype=np.complex128) * _I_POWERS[np.bitwise_count(xs & zs) % 4]
+    found = []
+    for x, work in _transformed_diagonals(dim, xs, zs, coeffs):
+        g, c = np.nonzero(work)
+        found.append((c ^ x[g], c, work[g, c]))
+    return SparseOperator(dim, *(np.concatenate(parts) for parts in zip(*found)))

@@ -7,6 +7,7 @@ serialization prints the most-significant qubit leftmost.
 """
 from __future__ import annotations
 
+import cmath
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -117,6 +118,10 @@ class PauliSum:
     def coefficient(self, x_mask: int, z_mask: int) -> complex:
         return self._coeffs.get((x_mask, z_mask), 0.0)
 
+    def items(self):
+        """((x_mask, z_mask), coefficient) pairs in storage order, unsorted."""
+        return self._coeffs.items()
+
     def terms(self) -> list[PauliTerm]:
         """Terms in canonical order: by weight, then (x_mask, z_mask)."""
         keys = sorted(self._coeffs, key=lambda k: ((k[0] | k[1]).bit_count(), k[0], k[1]))
@@ -178,24 +183,18 @@ class StringCensus:
 
 
 def string_census(psum: PauliSum, tol: float = 0.0) -> StringCensus:
-    """Histogram strings by length with per-length letter content."""
-    by_length: dict[int, int] = {}
-    y_counts: dict[int, Counter] = {}
-    letters: dict[int, Counter] = {}
-    total = 0
-    for t in psum.terms():
-        if abs(t.coefficient) <= tol:
-            continue
-        l = t.weight
-        total += 1
-        by_length[l] = by_length.get(l, 0) + 1
-        y_counts.setdefault(l, Counter())[t.n_y] += 1
-        cnt = letters.setdefault(l, Counter())
-        for j in range(t.n_qubits):
-            ch = t.letter(j)
-            if ch != "I":
-                cnt[ch] += 1
-    return StringCensus(total, by_length, y_counts, letters)
+    """Histogram strings by length with per-length #Y and letter tallies, from mask
+    popcounts alone: length |x|z|, #Y |x&z|, #X length - |z|, #Z length - |x|."""
+    shapes = Counter(((x | z).bit_count(), (x & z).bit_count(), x.bit_count(), z.bit_count())
+                     for (x, z), v in psum.items() if abs(v) > tol)
+    census = StringCensus(0, {})
+    for (l, n_y, n_x_bits, n_z_bits), m in sorted(shapes.items()):
+        census.total += m
+        census.by_length[l] = census.by_length.get(l, 0) + m
+        census.y_counts.setdefault(l, Counter())[n_y] += m
+        tally = {"X": l - n_z_bits, "Y": n_y, "Z": l - n_x_bits}
+        census.letters.setdefault(l, Counter()).update({ch: k * m for ch, k in tally.items() if k})
+    return census
 
 
 # -- text serialization --------------------------------------------------------
@@ -213,17 +212,24 @@ def pauli_sum_from_text(text: str) -> PauliSum:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("# pauli-sum"):
         raise ValueError("missing pauli-sum header line")
-    header = dict(kv.split("=") for kv in lines[0].split()[2:])
-    n_qubits = int(header["n_qubits"])
-    msb_first = header.get("ordering", "msb-left") == "msb-left"
+    try:
+        header = dict(kv.split("=") for kv in lines[0].split()[2:])
+        n_qubits = int(header.pop("n_qubits"))
+        msb_first = {"msb-left": True, "lsb-left": False}[header.pop("ordering", "msb-left")]
+        if header or n_qubits < 1:
+            raise ValueError
+    except (KeyError, ValueError):
+        raise ValueError(f"malformed pauli-sum header {lines[0]!r}") from None
     terms = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValueError(f"malformed pauli-sum line: {ln!r}")
-        label, re_s, im_s = parts
-        terms.append(PauliTerm.from_label(label, complex(float(re_s), float(im_s)),
-                                          msb_first=msb_first))
+        try:
+            label, re_s, im_s = ln.split()
+            coeff = complex(float(re_s), float(im_s))
+            if len(label) != n_qubits or not cmath.isfinite(coeff):
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"malformed pauli-sum line {ln!r} for n_qubits={n_qubits}") from None
+        terms.append(PauliTerm.from_label(label, coeff, msb_first=msb_first))
     return PauliSum.from_terms(n_qubits, terms)
 
 

@@ -5,7 +5,7 @@ magnitudes below ``ZERO_TOL`` (absolute) dropped.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -75,15 +75,6 @@ class SparseOperator:
     @property
     def nnz(self) -> int:
         return int(self.vals.size)
-
-    def entries(self) -> Iterator[tuple[int, int, complex]]:
-        """Iterate canonical (row, col, value) triplets."""
-        for r, c, v in zip(self.rows, self.cols, self.vals):
-            yield int(r), int(c), complex(v)
-
-    def entry_dict(self) -> dict[tuple[int, int], complex]:
-        return {(int(r), int(c)): complex(v)
-                for r, c, v in zip(self.rows, self.cols, self.vals)}
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
@@ -161,10 +152,8 @@ def _canonicalize(dim, rows, cols, vals):
     """Sort by (row, col), merge duplicates, prune near-zero entries."""
     if rows.size == 0:
         return rows, cols, vals
-    keys = rows * dim + cols
-    order = np.argsort(keys, kind="stable")
-    keys, rows, cols, vals = keys[order], rows[order], cols[order], vals[order]
-    uniq, inverse = np.unique(keys, return_inverse=True)
+    # np.unique sorts; np.add.at sums each key's duplicates in their input order
+    uniq, inverse = np.unique(rows * dim + cols, return_inverse=True)
     merged = np.zeros(uniq.size, dtype=np.complex128)
     np.add.at(merged, inverse, vals)
     keep = np.abs(merged) > ZERO_TOL

@@ -84,6 +84,33 @@ class TestCount:
         assert main(["count", "/nonexistent/spec.json"]) == 2
 
 
+class TestNumericFlags:
+    @pytest.mark.parametrize("command", ["table1", "count"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-0.5", "abc"])
+    def test_bad_tol_exit_2(self, command, tol, spec_file, capsys):
+        args = [command] + ([spec_file(FOCK_DOUBLE_WELL)] if command == "count" else [])
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--tol", tol])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --tol:" in err
+        assert tol == "abc" or f"must be a finite number >= 0, got '{tol}'" in err
+
+    @pytest.mark.parametrize("args", [["table1", "--q-max", "0"], ["count", "--q-min", "0"],
+                                      ["count", "--q-max", "0"], ["count", "--q-min", "-2"]])
+    def test_nonpositive_q_exit_2(self, args, spec_file, capsys):
+        if args[0] == "count":
+            args = ["count", spec_file(FOCK_DOUBLE_WELL)] + args[1:]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert f"argument {args[-2]}: must be a positive integer" in capsys.readouterr().err
+
+    def test_zero_tol_accepted(self, capsys):
+        code, out = run_cli(["table1", "--q-max", "3", "--tol", "0"], capsys)
+        assert code == 0 and out.strip().endswith("3,8,12,12,12,True")
+
+
 class TestFit:
     def test_exact_series(self, tmp_path, capsys):
         csv_path = tmp_path / "series.csv"

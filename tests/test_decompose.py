@@ -1,7 +1,10 @@
 """Trace-oracle vs tensorized decomposition, round trips, and shift-matrix content."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qboson import decompose
 from qboson import (CapExceededError, SparseOperator, count_strings,
                     decompose_tensorized, decompose_trace, fock_ladder, fock_x,
                     reconstruct, shift_matrix, string_census)
@@ -59,6 +62,43 @@ class TestTensorized:
             assert set(t1) == set(t2)
             for key in t1:
                 assert abs(t1[key] - t2[key]) < 1e-10
+
+    @given(n=st.integers(1, 6), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_sparse_matches_oracle(self, n, data):
+        # arbitrary sparse complex matrices: non-Hermitian, and empty when no entries are drawn
+        dim = 1 << n
+        value = st.floats(-1.0, 1.0, allow_nan=False)
+        entries = data.draw(st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1),
+                                               value, value), max_size=3 * dim))
+        op = SparseOperator.from_entries(dim, [(r, c, complex(re, im))
+                                               for r, c, re, im in entries])
+        fast, oracle = coeff_table(decompose_tensorized(op)), coeff_table(decompose_trace(op))
+        assert set(fast) == set(oracle)
+        scale = max(map(abs, oracle.values()), default=0.0)
+        for key, coeff in oracle.items():
+            assert abs(fast[key] - coeff) <= 1e-12 * scale
+        # unpruned, so the round trip carries only rounding error
+        back = reconstruct(decompose_tensorized(op, rel_tol=0.0))
+        assert back.dim == dim and back.max_abs_diff(op) <= 1e-12
+
+    @pytest.mark.parametrize("batch_entries", [1, 64, 100])
+    def test_batches_match_single_pass(self, batch_entries, monkeypatch):
+        # entries shrink away from the XOR diagonal x = dim/2, so the batches before
+        # it pre-prune against a running peak below the final one
+        rng = np.random.default_rng(11)
+        dim = 32
+        rows, cols = np.indices((dim, dim))
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        op = SparseOperator.from_dense(m * np.exp(-((rows ^ cols) - dim / 2) ** 2 / dim))
+        whole = decompose_tensorized(op, rel_tol=0.05)
+        rebuilt = reconstruct(whole).to_dense()
+        monkeypatch.setattr(decompose, "BATCH_ENTRIES", batch_entries)
+        batched = decompose_tensorized(op, rel_tol=0.05)
+        assert 0 < len(batched) < dim * dim
+        assert coeff_table(batched) == coeff_table(whole)
+        assert set(coeff_table(batched)) == set(coeff_table(decompose_trace(op, rel_tol=0.05)))
+        assert np.array_equal(reconstruct(batched).to_dense(), rebuilt)
 
     def test_hermitian_coefficients_real(self):
         rng = np.random.default_rng(42)

@@ -1,4 +1,6 @@
 """Bit-packed Pauli terms, sums, census, and text serialization."""
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,30 @@ class TestCensus:
         census = string_census(PauliSum(2, {(0, 0): 2.0}))
         assert census.by_length == {0: 1}
 
+    @pytest.mark.parametrize("n", [1, 3, 8, 63, 64, 70])
+    def test_matches_per_letter_tally(self, n):
+        rng = np.random.default_rng(n)
+        full = (1 << n) - 1
+        coeffs = {}
+        for _ in range(200):
+            x, z = (int.from_bytes(rng.bytes(9), "little") & full for _ in range(2))
+            coeffs[(x, z)] = complex(rng.choice([0.0, 1e-9, 1.0]))
+        psum = PauliSum(n, coeffs)
+        for tol in (0.0, 1e-6):
+            by_length, y_counts, letters = {}, {}, {}
+            for t in psum.terms():
+                if abs(t.coefficient) <= tol:
+                    continue
+                by_length[t.weight] = by_length.get(t.weight, 0) + 1
+                y_counts.setdefault(t.weight, Counter())[t.label().count("Y")] += 1
+                tally = letters.setdefault(t.weight, Counter())
+                tally.update(ch for ch in t.label() if ch != "I")
+            census = string_census(psum, tol)
+            assert census.total == sum(by_length.values())
+            assert census.by_length == by_length
+            assert census.y_counts == y_counts
+            assert census.letters == letters
+
 
 class TestSerialization:
     def test_text_roundtrip(self):
@@ -136,3 +162,25 @@ class TestSerialization:
     def test_header_required(self):
         with pytest.raises(ValueError, match="header"):
             pauli_sum_from_text("XX 1.0 0.0\n")
+
+    @pytest.mark.parametrize("coeff", ["nan 0.0", "1.0 inf", "-inf 0.0"])
+    def test_non_finite_coefficient_rejected(self, coeff):
+        with pytest.raises(ValueError, match=f"line 'XZ {coeff}'"):
+            pauli_sum_from_text(f"# pauli-sum n_qubits=2\nXZ {coeff}\n")
+
+    @pytest.mark.parametrize("header", ["# pauli-sum n_qubits", "# pauli-sum n_qubits=two",
+                                        "# pauli-sum n_qubits=0",
+                                        "# pauli-sum n_qubits=2 ordering=lsb-right",
+                                        "# pauli-sum n_qubits=2 oredring=lsb-left"])
+    def test_bad_header_named(self, header):
+        with pytest.raises(ValueError, match=f"header '{header}'"):
+            pauli_sum_from_text(header + "\nXZ 1.0 0.0\n")
+
+    def test_lsb_left_ordering(self):
+        psum = pauli_sum_from_text("# pauli-sum n_qubits=2 ordering=lsb-left\nXZ 1.0 0.0\n")
+        assert psum.coefficient(0b01, 0b10) == 1.0
+
+    @pytest.mark.parametrize("label", ["X", "XZY"])
+    def test_label_length_mismatch(self, label):
+        with pytest.raises(ValueError, match=f"line '{label} 1.0 0.0' for n_qubits=2"):
+            pauli_sum_from_text(f"# pauli-sum n_qubits=2\n{label} 1.0 0.0\n")
