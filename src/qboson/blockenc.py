@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CapExceededError
 from .hamiltonian import HamiltonianSpec, expand_potential_zsum, kinetic_zsum
@@ -121,35 +120,35 @@ def prepare_G(plan: LCUPlan) -> np.ndarray:
     return np.eye(dim) - 2.0 * np.outer(v, v) / nv2
 
 
-def build_select(plan: LCUPlan, system_qubits: int | None = None,
-                 fourier: np.ndarray | None = None) -> SparseOperator:
+def build_select(plan: LCUPlan, fourier: np.ndarray | None = None) -> SparseOperator:
     """Block-diagonal select unitary on ancilla (x) system.
 
     Ancilla branch i applies sign_i * string_i for potential tags,
-    F^dag (sign_j * string_j) F for kinetic tags, and the identity on unused
-    branches. ``fourier`` defaults to the centered kernel over all bosons and
-    must be supplied when the system is not a whole number of bosons.
+    F^dag (sign_i * string_i) F for kinetic tags, and the identity on unused
+    branches. ``fourier`` is the centered kernel over all bosons; it is
+    required when the plan has kinetic branches.
     """
-    if system_qubits is None:
-        system_qubits = plan.n_system_qubits
-    if system_qubits != plan.n_system_qubits:
-        raise ValueError("system size disagrees with the plan")
-    dim_sys = 1 << system_qubits
-    needs_fourier = any(tag == KINETIC for _, tag in plan.terms)
-    if needs_fourier and fourier is None:
+    if fourier is None and plan.count_tagged(KINETIC):
         raise ValueError("kinetic branches need the Fourier kernel; pass fourier=")
-    blocks = []
+    dim_sys = 1 << plan.n_system_qubits
+    rows, cols, vals = [], [], []
     for i in range(1 << plan.ancilla_count):
-        if i >= plan.n_terms:
-            blocks.append(sp.identity(dim_sys, dtype=np.complex128, format="csr"))
-            continue
-        term, tag = plan.terms[i]
-        string = PauliTerm(term.n_qubits, term.x_mask, term.z_mask).string_matrix()
-        branch = plan.signs[i] * string.to_csr()
-        if tag == KINETIC:
-            branch = sp.csr_matrix(fourier.conj().T @ branch.toarray() @ fourier)
-        blocks.append(branch)
-    return SparseOperator.from_csr(sp.block_diag(blocks, format="csr"))
+        if i < plan.n_terms:
+            term, tag = plan.terms[i]
+            string = term.string_matrix()
+            r, c, v = string.rows, string.cols, plan.signs[i] * string.vals
+            if tag == KINETIC:
+                block = plan.signs[i] * (fourier.conj().T @ string.to_dense() @ fourier)
+                r, c = np.nonzero(block)
+                v = block[r, c]
+        else:
+            r = c = np.arange(dim_sys)
+            v = np.ones(dim_sys)
+        rows.append(r + i * dim_sys)
+        cols.append(c + i * dim_sys)
+        vals.append(v)
+    return SparseOperator(dim_sys << plan.ancilla_count, np.concatenate(rows),
+                          np.concatenate(cols), np.concatenate(vals))
 
 
 @dataclass
@@ -173,21 +172,18 @@ class BlockEncoding:
         return self.prepare[:, 0]
 
     def encoded_block(self) -> np.ndarray:
-        """(<G| x I) U (|G> x I) as a dense system-size matrix."""
+        """(<G| x I) U (|G> x I) as a dense system-size matrix.
+
+        Entry (r, c) of select on ancilla rows a = r // d and columns
+        b = c // d adds conj(g_a) g_b U[r, c] at (r % d, c % d). Every stored
+        entry is read, so a select that leaks between branches shows here.
+        """
         dim_sys = 1 << self.n_system_qubits
         g = self.g_state
-        u = self.select.to_csr()
+        a, r = np.divmod(self.select.rows, dim_sys)
+        b, c = np.divmod(self.select.cols, dim_sys)
         out = np.zeros((dim_sys, dim_sys), dtype=np.complex128)
-        for a in range(g.size):
-            ga = np.conj(g[a])
-            if ga == 0:
-                continue
-            for b in range(g.size):
-                if g[b] == 0:
-                    continue
-                block = u[a * dim_sys:(a + 1) * dim_sys, b * dim_sys:(b + 1) * dim_sys]
-                if block.nnz:
-                    out += (ga * g[b]) * block.toarray()
+        np.add.at(out, (r, c), np.conj(g[a]) * g[b] * self.select.vals)
         return out
 
 

@@ -69,7 +69,7 @@ class Circuit:
         self.extend(gates)
 
     def append(self, gate: Gate) -> None:
-        if any(q >= self.n_qubits for q in gate.qubits):
+        if any(not 0 <= q < self.n_qubits for q in gate.qubits):
             raise ValueError(f"gate {gate} outside register of {self.n_qubits} qubits")
         self.gates.append(gate)
 
@@ -120,17 +120,28 @@ def circuit_from_text(text: str) -> Circuit:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("# circuit"):
         raise ValueError("missing circuit header line")
-    header = dict(kv.split("=") for kv in lines[0].split()[2:])
-    circ = Circuit(int(header["n_qubits"]))
+    try:
+        header = dict(kv.split("=") for kv in lines[0].split()[2:])
+        circ = Circuit(int(header.pop("n_qubits")))
+        if header:
+            raise ValueError
+    except (KeyError, ValueError):
+        raise ValueError(f"malformed circuit header {lines[0]!r}") from None
     for ln in lines[1:]:
-        parts = ln.split()
-        kind = parts[0]
+        kind, *operands = ln.split()
         if kind not in GATE_ARITY:
             raise ValueError(f"unknown gate in line {ln!r}")
         arity = GATE_ARITY[kind]
-        qubits = tuple(int(p) for p in parts[1:1 + arity])
-        angle = float(parts[1 + arity]) if kind in _ANGLED else None
-        circ.append(Gate(kind, qubits, angle))
+        try:
+            if len(operands) != arity + (kind in _ANGLED):
+                raise ValueError(f"{kind} takes {arity} qubits"
+                                 + (" and an angle" if kind in _ANGLED else ""))
+            angle = float(operands[arity]) if kind in _ANGLED else None
+            if angle is not None and not math.isfinite(angle):
+                raise ValueError("angle must be finite")
+            circ.append(Gate(kind, tuple(int(p) for p in operands[:arity]), angle))
+        except ValueError as exc:
+            raise ValueError(f"malformed circuit line {ln!r}: {exc}") from None
     return circ
 
 

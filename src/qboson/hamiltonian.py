@@ -8,6 +8,7 @@ dense-basis alternatives whose decompositions grow exponentially.
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -16,8 +17,9 @@ from typing import Mapping
 import numpy as np
 
 from .errors import CapExceededError, SpecFileError
-from .operators import (FockParams, TruncationConfig, coordinate_values,
-                        fock_p, fock_x, momentum_values, p2_finite_difference)
+from .operators import (FockParams, TruncationConfig, coordinate_values, fock_p,
+                        fock_x, momentum_values, momentum_zsum, p2_finite_difference,
+                        position_zsum)
 from .pauli import PauliSum
 from .sparse import SparseOperator
 
@@ -125,16 +127,11 @@ class HamiltonianSpec:
 
 # -- coordinate-basis expansions ------------------------------------------------
 
-def _single_z_weights(config: TruncationConfig, step: float, boson: int) -> list[tuple[int, float]]:
-    q0 = boson * config.qubits_per_boson
-    return [(1 << (q0 + j), -step * (1 << j) / 2.0)
-            for j in range(config.qubits_per_boson)]
-
-
-def _multiply_zsum_factor(acc: dict[int, float], weights) -> dict[int, float]:
+def _multiply_zsum_factor(acc: dict[int, float], factor: PauliSum) -> dict[int, float]:
+    """Multiply a z_mask -> coefficient map by a sum of single-Z strings."""
     out: dict[int, float] = {}
     for mask, coeff in acc.items():
-        for bit, w in weights:
+        for (_, bit), w in factor.items():
             key = mask ^ bit  # sigma_z**2 = I collapses repeated qubits
             out[key] = out.get(key, 0.0) + coeff * w
     return out
@@ -153,13 +150,14 @@ def expand_potential_zsum(spec: HamiltonianSpec) -> PauliSum:
     for mono in spec.potential.terms:
         cur: dict[int, float] = {0: mono.coefficient}
         for boson in sorted(mono.exponents):
-            weights = _single_z_weights(cfg, cfg.spacing, boson)
+            x = position_zsum(cfg, boson)
             for _ in range(mono.exponents[boson]):
-                cur = _multiply_zsum_factor(cur, weights)
+                cur = _multiply_zsum_factor(cur, x)
         for mask, coeff in cur.items():
             key = (0, mask)
             acc[key] = acc.get(key, 0.0) + coeff
-    return PauliSum(cfg.total_qubits, acc).prune()
+    # drop exact zeros only: count --tol applies the caller's tolerance
+    return PauliSum(cfg.total_qubits, acc).prune(0.0)
 
 
 def raw_string_count(potential: PolynomialPotential, qubits_per_boson: int) -> int:
@@ -179,11 +177,11 @@ def kinetic_zsum(spec: HamiltonianSpec) -> PauliSum:
     cfg = spec.config
     acc: dict[tuple[int, int], complex] = {}
     for boson in range(cfg.bosons):
-        weights = _single_z_weights(cfg, cfg.momentum_spacing, boson)
-        cur = _multiply_zsum_factor(_multiply_zsum_factor({0: 0.5}, weights), weights)
+        p = momentum_zsum(cfg, boson)
+        cur = _multiply_zsum_factor(_multiply_zsum_factor({0: 0.5}, p), p)
         for mask, coeff in cur.items():
             acc[(0, mask)] = acc.get((0, mask), 0.0) + coeff
-    return PauliSum(cfg.total_qubits, acc).prune()
+    return PauliSum(cfg.total_qubits, acc).prune(0.0)
 
 
 def _embed_per_boson(config: TruncationConfig, local: SparseOperator) -> SparseOperator:
@@ -282,33 +280,74 @@ def fock_hamiltonian(spec: HamiltonianSpec, include_kinetic: bool = True) -> Spa
 
 
 # -- spec files -------------------------------------------------------------------
-# JSON document; see README for the schema. Decimal literals only.
+# JSON document; see README for the schema. Decimal literals only. Parsing is
+# strict: unknown keys are rejected and no value is coerced to another type.
+
+_SPEC_KEYS = ("bosons", "qubits_per_boson", "radius", "basis", "kinetic_scheme",
+              "fock", "potential")
+_TERM_KEYS = ("coeff", "exponents")
+_FOCK_KEYS = ("mass", "frequency")
+
+
+def _checked_object(obj, where: str, allowed, required=()) -> dict:
+    if not isinstance(obj, dict):
+        raise SpecFileError(f"{where}: JSON object expected, got {obj!r}")
+    for key in obj:
+        if key not in allowed:
+            raise SpecFileError(f"{where}: unknown key {key!r} (allowed: {', '.join(allowed)})")
+    for key in required:
+        if key not in obj:
+            raise SpecFileError(f"{where}: missing key {key!r}")
+    return obj
+
+
+def _integer(value, where: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise SpecFileError(f"{where} must be a JSON integer, got {value!r}")
+
+
+def _real(value, where: str) -> float:
+    # the bound is false for nan, infinities and integers past the float range
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise SpecFileError(f"{where} must be a finite JSON number, got {value!r}")
+
+
+def _monomial(doc, bosons: int, where: str) -> Monomial:
+    _checked_object(doc, where, _TERM_KEYS, _TERM_KEYS)
+    expo = doc["exponents"]
+    if not isinstance(expo, list) or len(expo) != bosons:
+        raise SpecFileError(f"{where}: expected a list of {bosons} exponents, got {expo!r}")
+    powers = {a: _integer(p, f"{where}: exponent {a}") for a, p in enumerate(expo)}
+    try:
+        return Monomial(_real(doc["coeff"], f"{where}: coeff"), powers)
+    except ValueError as exc:
+        raise SpecFileError(f"{where}: {exc}") from None
+
 
 def hamiltonian_spec_from_dict(doc: dict) -> HamiltonianSpec:
+    """Validate a parsed spec document and build the spec; errors name the key or term."""
+    _checked_object(doc, "spec", _SPEC_KEYS, ("bosons", "qubits_per_boson"))
+    bosons = _integer(doc["bosons"], "bosons")
+    qubits = _integer(doc["qubits_per_boson"], "qubits_per_boson")
+    radius = doc.get("radius")
+    potential = doc.get("potential", [])
+    if not isinstance(potential, list):
+        raise SpecFileError(f"potential: JSON list expected, got {potential!r}")
+    fock_doc = _checked_object(doc.get("fock", {}), "fock", _FOCK_KEYS)
     try:
-        bosons = int(doc["bosons"])
-        qubits = int(doc["qubits_per_boson"])
-        radius = doc.get("radius")
         config = TruncationConfig(bosons, qubits,
-                                  None if radius is None else float(radius))
-        terms = []
-        for i, td in enumerate(doc.get("potential", [])):
-            expo = td["exponents"]
-            if len(expo) != bosons:
-                raise SpecFileError(
-                    f"potential term {i}: expected {bosons} exponents, got {len(expo)}")
-            terms.append(Monomial(float(td["coeff"]),
-                                  {a: int(p) for a, p in enumerate(expo)}))
-        potential = PolynomialPotential(bosons, tuple(terms))
+                                  None if radius is None else _real(radius, "radius"))
+        terms = [_monomial(td, bosons, f"potential term {i}") for i, td in enumerate(potential)]
         scheme = KineticScheme(doc.get("kinetic_scheme", "momentum-basis-diagonal"))
         basis = BasisChoice(doc.get("basis", "coordinate-qft"))
-        fock_doc = doc.get("fock", {})
-        fock_params = FockParams(float(fock_doc.get("mass", 1.0)),
-                                 float(fock_doc.get("frequency", 1.0)))
-        return HamiltonianSpec(config, potential, scheme, basis, fock_params)
-    except SpecFileError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+        fock_params = FockParams(_real(fock_doc.get("mass", 1.0), "fock: mass"),
+                                 _real(fock_doc.get("frequency", 1.0), "fock: frequency"))
+        return HamiltonianSpec(config, PolynomialPotential(bosons, tuple(terms)),
+                               scheme, basis, fock_params)
+    except ValueError as exc:
         raise SpecFileError(f"invalid Hamiltonian spec: {exc}") from exc
 
 

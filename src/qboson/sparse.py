@@ -109,15 +109,6 @@ class SparseOperator:
         self._check_dim(other)
         return SparseOperator.from_csr(self.to_csr() @ other.to_csr())
 
-    def power(self, exponent: int) -> "SparseOperator":
-        """Matrix power by repeated multiplication (exponent >= 0)."""
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        out = SparseOperator.identity(self.dim)
-        for _ in range(exponent):
-            out = out @ self
-        return out
-
     def dagger(self) -> "SparseOperator":
         return SparseOperator(self.dim, self.cols, self.rows, np.conj(self.vals))
 

@@ -1,17 +1,34 @@
 """LCU plans, prepare/select construction, and block-encoding verification."""
+import functools
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qboson import (HamiltonianSpec, PauliSum, PolynomialPotential,
                     TruncationConfig, assemble_hamiltonian_matrix, block_encode,
                     build_plan, build_select, plan_from_spec, prepare_G,
                     verify_block_encoding)
 from qboson.blockenc import KINETIC, POTENTIAL, BlockEncoding
+from qboson.sparse import SparseOperator
 
 
 def sum_from_labels(n, entries):
     from qboson import PauliTerm
     return PauliSum.from_terms(n, [PauliTerm.from_label(l, c) for l, c in entries])
+
+
+PAULI = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
+         "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1, -1])}
+
+
+def label_matrix(label):
+    """Dense string by Kronecker products, most significant qubit leftmost."""
+    return functools.reduce(np.kron, [PAULI[ch] for ch in label], np.eye(1)).astype(complex)
+
+
+def random_labels(rng, n, letters, count):
+    return ["".join(rng.choice(list(letters), n)) for _ in range(count)]
 
 
 class TestBuildPlan:
@@ -120,6 +137,25 @@ class TestSelect:
         u = build_select(plan).to_dense()  # 3 terms, 4 branches
         assert np.allclose(u[6:, 6:], np.eye(2))
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_block_diag_of_branches(self, seed):
+        from qboson import fourier_kernel
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 4))
+        n_pot, n_kin = int(rng.integers(1, 6)), int(rng.integers(0, 4))
+        pot = dict(zip(random_labels(rng, n, "IXYZ", n_pot), rng.uniform(-2, 2, n_pot)))
+        kin = dict(zip(random_labels(rng, n, "IZ", n_kin), rng.uniform(-2, 2, n_kin)))
+        plan = build_plan(sum_from_labels(n, pot.items()),
+                          sum_from_labels(n, kin.items()) if kin else None)
+        f = fourier_kernel(1 << n)
+        blocks = []
+        for (term, tag), sign in zip(plan.terms, plan.signs):
+            p = sign * label_matrix(term.label())
+            blocks.append(f.conj().T @ p @ f if tag == KINETIC else p)
+        blocks += [np.eye(1 << n)] * ((1 << plan.ancilla_count) - plan.n_terms)
+        u = build_select(plan, fourier=f).to_dense()
+        assert np.abs(u - scipy.linalg.block_diag(*blocks)).max() <= 1e-12
+
     def test_kinetic_needs_kernel(self):
         plan = build_plan(sum_from_labels(1, [("X", 1.0)]),
                           sum_from_labels(1, [("Z", 1.0)]))
@@ -142,6 +178,21 @@ class TestVerify:
         h = np.array([[1.0, 1.0], [1.0, -1.0]])
         assert verify_block_encoding(enc, h) < 1e-12
         assert enc.plan.lam == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_encoded_block_reads_every_entry(self, seed):
+        # a select that is not block-diagonal: off-diagonal ancilla blocks must count
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 3))
+        labels = random_labels(rng, n, "IXYZ", 5)
+        plan = build_plan(sum_from_labels(n, zip(labels, rng.uniform(0.1, 2, 5))))
+        dim = (1 << plan.ancilla_count) << n
+        u = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        u[rng.random((dim, dim)) < 0.5] = 0.0
+        enc = BlockEncoding(plan, prepare_G(plan), SparseOperator.from_dense(u))
+        g, eye = enc.g_state, np.eye(1 << n)
+        expected = np.kron(g.conj()[None, :], eye) @ u @ np.kron(g[:, None], eye)
+        assert np.abs(enc.encoded_block() - expected).max() <= 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="match"):

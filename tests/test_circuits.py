@@ -29,6 +29,8 @@ class TestGateAndCircuit:
         circ = Circuit(2)
         with pytest.raises(ValueError):
             circ.append(Gate("H", (2,)))
+        with pytest.raises(ValueError):
+            circ.append(Gate("H", (-1,)))
 
     def test_counts(self):
         circ = Circuit(2, [Gate("H", (0,)), Gate("CNOT", (0, 1)), Gate("H", (1,))])
@@ -53,6 +55,18 @@ class TestGateAndCircuit:
                            Gate("PHASE", (), 0.125), Gate("SWAP", (0, 2))])
         back = circuit_from_text(circuit_to_text(circ))
         assert np.abs(circuit_matrix(back) - circuit_matrix(circ)).max() < 1e-15
+
+    @pytest.mark.parametrize("text,names", [
+        ("# circuit n_qubits=2\nRZ 0\n", "line 'RZ 0'"),
+        ("# circuit n_qubits=2\nH 0 1\n", "line 'H 0 1'"),
+        ("# circuit n_qubits\nH 0\n", "header '# circuit n_qubits'"),
+        ("# circuit n_qubits=2\nRZ 0 nan\n", "line 'RZ 0 nan'"),
+        ("# circuit n_qubits=2\nCPHASE 0 1 -inf\n", "line 'CPHASE 0 1 -inf'"),
+    ], ids=["missing-angle", "trailing-token", "header-without-equals", "nan-angle",
+            "infinite-angle"])
+    def test_malformed_text_names_input(self, text, names):
+        with pytest.raises(ValueError, match=f"malformed circuit {names}"):
+            circuit_from_text(text)
 
 
 class TestQFT:

@@ -83,6 +83,31 @@ class TestCount:
     def test_missing_file_exit_2(self, capsys):
         assert main(["count", "/nonexistent/spec.json"]) == 2
 
+    def test_unknown_spec_key_exit_2(self, spec_file, capsys):
+        path = spec_file({**ANHARMONIC, "potentail": []})
+        assert main(["count", path]) == 2
+        assert "unknown key 'potentail'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("radius", [2.0, 1.7])
+    @pytest.mark.parametrize("bosons,terms,q_min,q_max,exact", [
+        (1, [(1.0, [4])], 12, 17, lambda q: 1 + math.comb(q, 2) + math.comb(q, 4)),
+        (1, [(1.0, [2]), (2.0, [4]), (1.0, [6])], 10, 14,
+         lambda q: 1 + math.comb(q, 2) + math.comb(q, 4) + math.comb(q, 6)),
+        # (x0^2 + x1^2)/2 + (x0^2 + x1^2)^2/4: one-boson weights 0, 2, 4 on either
+        # boson, plus weight 2 on both at once
+        (2, [(0.5, [2, 0]), (0.5, [0, 2]), (0.25, [4, 0]), (0.25, [0, 4]), (0.5, [2, 2])],
+         10, 12, lambda q: 1 + 2 * (math.comb(q, 2) + math.comb(q, 4)) + math.comb(q, 2) ** 2),
+    ])
+    def test_zero_tol_counts_exact_support(self, bosons, terms, q_min, q_max, exact, radius,
+                                           spec_file, capsys):
+        path = spec_file({"bosons": bosons, "qubits_per_boson": q_min, "radius": radius,
+                          "potential": [{"coeff": c, "exponents": e} for c, e in terms]})
+        code, out = run_cli(["count", path, "--q-min", str(q_min), "--q-max", str(q_max),
+                             "--tol", "0", "--format", "json"], capsys)
+        assert code == 0
+        assert [r["n_pauli"] for r in json.loads(out)["rows"]] == [
+            exact(q) for q in range(q_min, q_max + 1)]
+
 
 class TestNumericFlags:
     @pytest.mark.parametrize("command", ["table1", "count"])

@@ -276,3 +276,30 @@ class TestSpecFiles:
     def test_missing_field(self, tmp_path):
         with pytest.raises(SpecFileError):
             load_hamiltonian_spec(self.write(tmp_path, {"bosons": 1}))
+
+    BASE = {"bosons": 1, "qubits_per_boson": 3, "radius": 2.0,
+            "potential": [{"coeff": 1.0, "exponents": [2]}]}
+
+    @pytest.mark.parametrize("change,message", [
+        ({"potentail": [{"coeff": 1.0, "exponents": [2]}]}, "spec: unknown key 'potentail'"),
+        ({"potential": [{"coeff": 1.0, "exponents": [2], "coef": 2.0}]},
+         "potential term 0: unknown key 'coef'"),
+        ({"fock": {"mass": 1.0, "freq": 2.0}}, "fock: unknown key 'freq'"),
+        ({"potential": [{"coeff": 1.0, "exponents": [2.5]}]},
+         "potential term 0: exponent 0 must be a JSON integer, got 2.5"),
+        ({"qubits_per_boson": "3"}, "qubits_per_boson must be a JSON integer, got '3'"),
+        ({"qubits_per_boson": True}, "qubits_per_boson must be a JSON integer, got True"),
+        ({"bosons": 1.7}, "bosons must be a JSON integer, got 1.7"),
+        ({"potential": [{"coeff": "1.0", "exponents": [2]}]},
+         "potential term 0: coeff must be a finite JSON number, got '1.0'"),
+    ], ids=["top-level-key", "term-key", "fock-key", "float-exponent", "string-integer",
+            "bool-integer", "float-bosons", "string-coeff"])
+    def test_strict_schema(self, tmp_path, change, message):
+        with pytest.raises(SpecFileError) as exc:
+            load_hamiltonian_spec(self.write(tmp_path, {**self.BASE, **change}))
+        assert message in str(exc.value)
+
+    def test_integer_reals_accepted(self, tmp_path):
+        doc = {**self.BASE, "radius": 2, "potential": [{"coeff": 1, "exponents": [2]}]}
+        spec = load_hamiltonian_spec(self.write(tmp_path, doc))
+        assert spec.config.radius == 2.0 and spec.potential.terms[0].coefficient == 1.0
