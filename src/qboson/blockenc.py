@@ -137,8 +137,9 @@ def build_select(plan: LCUPlan, fourier: np.ndarray | None = None) -> SparseOper
             term, tag = plan.terms[i]
             string = term.string_matrix()
             r, c, v = string.rows, string.cols, plan.signs[i] * string.vals
-            if tag == KINETIC:
-                block = plan.signs[i] * (fourier.conj().T @ string.to_dense() @ fourier)
+            if tag == KINETIC:  # row r of P holds vals[r] at cols[r], so P F is a row gather
+                pf = string.vals[:, None] * fourier[string.cols]
+                block = plan.signs[i] * (fourier.conj().T @ pf)
                 r, c = np.nonzero(block)
                 v = block[r, c]
         else:

@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 import sys
 
 from .blockenc import KINETIC, POTENTIAL, block_encode, verify_block_encoding
@@ -207,6 +208,13 @@ def cmd_blockenc(args) -> int:
 
 # -- parser ---------------------------------------------------------------------------
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if abs(value) < float("inf"):  # false for nan
+        return value
+    raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+
+
 def _tolerance(text: str) -> float:
     value = float(text)
     if 0 <= value < float("inf"):  # false for nan
@@ -253,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trotter", help="emit a Trotter circuit and gate-count report")
     p.add_argument("spec", help="Hamiltonian spec file (JSON)")
-    p.add_argument("--time", type=float, required=True, help="total evolution time")
-    p.add_argument("--steps", type=int, required=True, help="number of Trotter steps")
+    p.add_argument("--time", type=_finite, required=True, help="total evolution time")
+    p.add_argument("--steps", type=_positive_int, required=True, help="number of Trotter steps")
     p.add_argument("--circuit-out", metavar="PATH", help="write the circuit text here")
     p.add_argument("--verify", action="store_true",
                    help="simulate against the exact propagator and print halving ratios")
@@ -267,6 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check (<G|(x)I) U (|G>(x)I) = H/lambda numerically")
     _add_common(p, 1e-10, "with --verify: fail (exit 4) beyond this error")
     p.set_defaults(func=cmd_blockenc)
+    # argparse takes "-1" and "-.5" for values but "-1e-12" or "-inf" for unknown options
+    number = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
+    for subparser in sub.choices.values():
+        subparser._negative_number_matcher = number
     return parser
 
 

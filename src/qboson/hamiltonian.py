@@ -252,19 +252,15 @@ def fock_potential(spec: HamiltonianSpec) -> SparseOperator:
     cfg = spec.config
     _check_fock_size(cfg)
     x1 = fock_x(cfg.cutoff, spec.fock_params)
-    powers: dict[int, SparseOperator] = {0: SparseOperator.identity(cfg.cutoff), 1: x1}
-
-    def x_power(k: int) -> SparseOperator:
-        if k not in powers:
-            powers[k] = x_power(k - 1) @ x1
-        return powers[k]
-
+    powers = [SparseOperator.identity(cfg.cutoff)]
+    for _ in range(spec.potential.degree):
+        powers.append(powers[-1] @ x1)
     dim = cfg.cutoff ** cfg.bosons
     total = SparseOperator.zeros(dim)
     for mono in spec.potential.terms:
         op = SparseOperator.from_entries(1, [(0, 0, mono.coefficient)])
         for a in range(cfg.bosons - 1, -1, -1):  # high boson first, boson 0 least significant
-            op = op.kron(x_power(mono.exponents.get(a, 0)))
+            op = op.kron(powers[mono.exponents.get(a, 0)])
         total = total + op
     return total
 

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .circuits import Circuit, trotter_evolution
 from .errors import CapExceededError
@@ -136,7 +135,7 @@ def exact_propagator(hamiltonian, time: float) -> Propagator:
     scale = max(1.0, float(np.abs(h).max(initial=0.0)))
     if np.abs(h - h.conj().T).max(initial=0.0) > 1e-12 * scale:
         raise ValueError("exact_propagator requires a Hermitian matrix")
-    evals, evecs = scipy.linalg.eigh(h)
+    evals, evecs = np.linalg.eigh(h)
     return Propagator(time, (evecs * np.exp(-1j * evals * time)) @ evecs.conj().T)
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 from typing import Iterable
 
 import numpy as np
-import scipy.sparse as sp
 
 # Absolute magnitude below which an entry counts as double-precision noise.
 ZERO_TOL = 1e-14
@@ -55,13 +54,6 @@ class SparseOperator:
         return cls(m.shape[0], r, c, m[r, c])
 
     @classmethod
-    def from_csr(cls, matrix: sp.spmatrix) -> "SparseOperator":
-        coo = sp.coo_matrix(matrix)
-        if coo.shape[0] != coo.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {coo.shape}")
-        return cls(coo.shape[0], coo.row, coo.col, coo.data)
-
-    @classmethod
     def identity(cls, dim: int) -> "SparseOperator":
         idx = np.arange(dim)
         return cls(dim, idx, idx, np.ones(dim))
@@ -81,9 +73,10 @@ class SparseOperator:
         out[self.rows, self.cols] = self.vals
         return out
 
-    def to_csr(self) -> sp.csr_matrix:
-        return sp.csr_matrix((self.vals, (self.rows, self.cols)),
-                             shape=(self.dim, self.dim))
+    def to_csr(self):
+        """The same matrix as a ``scipy.sparse.csr_matrix``; needs scipy installed."""
+        from scipy.sparse import csr_matrix
+        return csr_matrix((self.vals, (self.rows, self.cols)), shape=(self.dim, self.dim))
 
     # -- algebra -----------------------------------------------------------
 
@@ -106,15 +99,26 @@ class SparseOperator:
         return self * (-1.0)
 
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
+        """Row join: entry (r, k, a) of self meets every entry of row k of other."""
         self._check_dim(other)
-        return SparseOperator.from_csr(self.to_csr() @ other.to_csr())
+        start = np.searchsorted(other.rows, self.cols, side="left")
+        count = np.searchsorted(other.rows, self.cols, side="right") - start
+        left = np.repeat(np.arange(self.nnz), count)
+        # position within the joined row, shifted to where that row starts in other
+        right = np.arange(left.size) - np.repeat(np.cumsum(count) - count - start, count)
+        return SparseOperator(self.dim, self.rows[left], other.cols[right],
+                              self.vals[left] * other.vals[right])
 
     def dagger(self) -> "SparseOperator":
         return SparseOperator(self.dim, self.cols, self.rows, np.conj(self.vals))
 
     def kron(self, other: "SparseOperator") -> "SparseOperator":
         """Kronecker product; ``other`` indexes the less significant block."""
-        return SparseOperator.from_csr(sp.kron(self.to_csr(), other.to_csr(), format="csr"))
+        d = other.dim
+        return SparseOperator(self.dim * d,
+                              (self.rows[:, None] * d + other.rows).ravel(),
+                              (self.cols[:, None] * d + other.cols).ravel(),
+                              (self.vals[:, None] * other.vals).ravel())
 
     # -- diagnostics ---------------------------------------------------------
 

@@ -144,7 +144,7 @@ class TestSelect:
         n = int(rng.integers(1, 4))
         n_pot, n_kin = int(rng.integers(1, 6)), int(rng.integers(0, 4))
         pot = dict(zip(random_labels(rng, n, "IXYZ", n_pot), rng.uniform(-2, 2, n_pot)))
-        kin = dict(zip(random_labels(rng, n, "IZ", n_kin), rng.uniform(-2, 2, n_kin)))
+        kin = dict(zip(random_labels(rng, n, "IXYZ", n_kin), rng.uniform(-2, 2, n_kin)))
         plan = build_plan(sum_from_labels(n, pot.items()),
                           sum_from_labels(n, kin.items()) if kin else None)
         f = fourier_kernel(1 << n)

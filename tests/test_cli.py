@@ -111,7 +111,8 @@ class TestCount:
 
 class TestNumericFlags:
     @pytest.mark.parametrize("command", ["table1", "count"])
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-0.5", "abc"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-0.5", "-1e-12", "-2.5E+3",
+                                     "abc"])
     def test_bad_tol_exit_2(self, command, tol, spec_file, capsys):
         args = [command] + ([spec_file(FOCK_DOUBLE_WELL)] if command == "count" else [])
         with pytest.raises(SystemExit) as exc:
@@ -134,6 +135,29 @@ class TestNumericFlags:
     def test_zero_tol_accepted(self, capsys):
         code, out = run_cli(["table1", "--q-max", "3", "--tol", "0"], capsys)
         assert code == 0 and out.strip().endswith("3,8,12,12,12,True")
+
+    def test_exponent_negative_time_accepted(self, spec_file, capsys):
+        path = spec_file(ANHARMONIC)
+        outs = [run_cli(["trotter", path, "--time", t, "--steps", "2", "--format", "json"], capsys)
+                for t in ("-5e-1", "-0.5")]
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0 and json.loads(outs[0][1])["time"] == -0.5
+
+    @pytest.mark.parametrize("time", [["--time", "inf"], ["--time", "nan"], ["--time", "-inf"],
+                                      ["--time", "-NaN"], ["--time=-inf"]])
+    def test_non_finite_time_exit_2(self, time, spec_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trotter", spec_file(ANHARMONIC), *time, "--steps", "2"])
+        assert exc.value.code == 2
+        value = time[-1].removeprefix("--time=")
+        assert f"argument --time: must be a finite number, got '{value}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", ["0", "-3", "2.5"])
+    def test_bad_steps_exit_2(self, steps, spec_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trotter", spec_file(ANHARMONIC), "--time", "1", "--steps", steps])
+        assert exc.value.code == 2
+        assert "argument --steps:" in capsys.readouterr().err
 
 
 class TestFit:
