@@ -86,7 +86,9 @@ class Circuit:
     def __add__(self, other: "Circuit") -> "Circuit":
         if self.n_qubits != other.n_qubits:
             raise ValueError("register size mismatch")
-        return Circuit(self.n_qubits, list(self.gates) + list(other.gates))
+        out = Circuit(self.n_qubits)
+        out.gates = self.gates + other.gates  # both checked against this register
+        return out
 
     def inverse(self) -> "Circuit":
         return Circuit(self.n_qubits, [g.inverse() for g in reversed(self.gates)])
@@ -324,6 +326,5 @@ def trotter_evolution(spec: HamiltonianSpec, total_time: float, steps: int,
         raise ValueError("steps must be >= 1")
     step, report = trotter_step(spec, total_time / steps, include_kinetic)
     circ = Circuit(step.n_qubits)
-    for _ in range(steps):
-        circ += step
+    circ.gates = step.gates * steps
     return circ, report.scaled(steps)

@@ -23,6 +23,7 @@ from .hamiltonian import (BasisChoice, HamiltonianSpec, expand_potential_zsum,
 from .operators import FockParams, fock_p, fock_x
 from .pauli import RELATIVE_PRUNE_TOL, count_strings, string_census
 from .scaling import fit_scaling, series_from_csv
+from . import simulate
 from .simulate import assemble_hamiltonian_matrix, trotter_error
 
 TABLE1_MAX_Q = 14
@@ -142,11 +143,15 @@ def cmd_trotter(args) -> int:
     doc.update({"spec": args.spec, "time": args.time, "total_gates": len(circuit)})
     verify_rows = []
     if args.verify:
-        err = trotter_error(spec, args.time, args.steps)
+        # the errors at N and N/2 steps share the total time, so one reference
+        # serves both; looked up on the module so that a wrapper installed on
+        # simulate.exact_propagator (perfbench/tracing.py) sees this call
+        exact = simulate.exact_propagator(assemble_hamiltonian_matrix(spec), args.time)
+        err = trotter_error(spec, args.time, args.steps, exact=exact)
         doc["trotter_error"] = err
         verify_rows.append(["trotter_error", args.steps, err])
         if args.steps % 2 == 0 and args.steps >= 2:
-            err_half = trotter_error(spec, args.time, args.steps // 2)
+            err_half = trotter_error(spec, args.time, args.steps // 2, exact=exact)
             ratio = err / err_half if err_half > 0 else float("nan")
             doc["trotter_error_half_steps"] = err_half
             doc["halving_ratio"] = ratio

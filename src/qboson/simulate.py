@@ -1,13 +1,15 @@
 """Exact statevector simulation and matrix-exponential propagator oracles.
 
-Amplitudes are dense; gates act through bit-indexed slicing of the state
-tensor (no per-gate 2**n matrices). Qubit j addresses the 2**j bit of the
-basis index.
+Amplitudes are dense and no per-gate 2**n matrix is formed: each run of
+permutation/phase gates is fused into one row gather, and each H is a
+butterfly on a reshaped view. Qubit j addresses the 2**j bit of the basis
+index.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from .sparse import SparseOperator
 APPLY_QUBIT_CAP = 20
 MATRIX_QUBIT_CAP = 12
 
-_H_GATE = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 @dataclass
@@ -39,56 +41,71 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def _slices(n_qubits: int, assignments: dict[int, int], extra_axes: int) -> tuple:
-    """Index tuple fixing qubit -> bit over a (2,)*n (+batch) shaped tensor."""
-    idx: list = [slice(None)] * (n_qubits + extra_axes)
-    for qubit, bit in assignments.items():
-        idx[n_qubits - 1 - qubit] = bit  # axis 0 is the most-significant qubit
-    return tuple(idx)
+def _fused_run(gates, dim: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """One run of non-H gates as ``(src, phase)``: the run maps psi to
+    ``phase * psi[src]``; ``src`` is None when the run permutes nothing.
+
+    ``pos[j]`` follows basis state j through the permutations with bit
+    arithmetic, and ``angle[j]`` sums the phases it picks up on the way, so a
+    gate costs O(dim) and nothing is gathered until the run ends.
+    """
+    pos = np.arange(dim)
+    angle = np.zeros(dim)
+    const = 0.0
+    for gate in gates:
+        kind, qubits = gate.kind, gate.qubits
+        if kind == "PHASE":
+            const += gate.angle
+        elif kind == "RZ":
+            angle += gate.angle * ((pos >> qubits[0]) & 1)
+            const -= 0.5 * gate.angle
+        elif kind == "DIAGPHASE":
+            angle += gate.angle * ((pos >> qubits[0]) & 1)
+        elif kind == "CPHASE":
+            angle += gate.angle * ((pos >> qubits[0]) & (pos >> qubits[1]) & 1)
+        elif kind == "X":
+            pos ^= 1 << qubits[0]
+        elif kind == "CNOT":
+            pos ^= ((pos >> qubits[0]) & 1) << qubits[1]
+        elif kind == "SWAP":
+            a, b = qubits
+            flip = ((pos >> a) ^ (pos >> b)) & 1
+            pos ^= (flip << a) | (flip << b)
+        else:  # pragma: no cover - H ends a run; Gate validates kinds
+            raise ValueError(f"unknown gate kind {kind!r}")
+    phase = np.exp(1j * (angle + const))
+    if np.array_equal(pos, np.arange(dim)):
+        return None, phase
+    src = np.empty_like(pos)
+    src[pos] = np.arange(dim)
+    return src, phase[src]
 
 
-def _apply_gate(tensor: np.ndarray, gate, n: int, extra_axes: int) -> None:
-    kind = gate.kind
-    if kind == "H":
-        q = gate.qubits[0]
-        a0 = tensor[_slices(n, {q: 0}, extra_axes)].copy()
-        a1 = tensor[_slices(n, {q: 1}, extra_axes)].copy()
-        tensor[_slices(n, {q: 0}, extra_axes)] = _H_GATE[0, 0] * a0 + _H_GATE[0, 1] * a1
-        tensor[_slices(n, {q: 1}, extra_axes)] = _H_GATE[1, 0] * a0 + _H_GATE[1, 1] * a1
-    elif kind == "X":
-        q = gate.qubits[0]
-        i0, i1 = _slices(n, {q: 0}, extra_axes), _slices(n, {q: 1}, extra_axes)
-        a0 = tensor[i0].copy()
-        tensor[i0] = tensor[i1]
-        tensor[i1] = a0
-    elif kind == "RZ":
-        q = gate.qubits[0]
-        tensor[_slices(n, {q: 0}, extra_axes)] *= np.exp(-0.5j * gate.angle)
-        tensor[_slices(n, {q: 1}, extra_axes)] *= np.exp(+0.5j * gate.angle)
-    elif kind == "DIAGPHASE":
-        q = gate.qubits[0]
-        tensor[_slices(n, {q: 1}, extra_axes)] *= np.exp(1j * gate.angle)
-    elif kind == "PHASE":
-        tensor *= np.exp(1j * gate.angle)
-    elif kind == "CNOT":
-        ctl, tgt = gate.qubits
-        i0 = _slices(n, {ctl: 1, tgt: 0}, extra_axes)
-        i1 = _slices(n, {ctl: 1, tgt: 1}, extra_axes)
-        a0 = tensor[i0].copy()
-        tensor[i0] = tensor[i1]
-        tensor[i1] = a0
-    elif kind == "CPHASE":
-        ctl, tgt = gate.qubits
-        tensor[_slices(n, {ctl: 1, tgt: 1}, extra_axes)] *= np.exp(1j * gate.angle)
-    elif kind == "SWAP":
-        a, b = gate.qubits
-        i01 = _slices(n, {a: 0, b: 1}, extra_axes)
-        i10 = _slices(n, {a: 1, b: 0}, extra_axes)
-        t = tensor[i01].copy()
-        tensor[i01] = tensor[i10]
-        tensor[i10] = t
-    else:  # pragma: no cover - Gate validates kinds on construction
-        raise ValueError(f"unknown gate kind {kind!r}")
+def _run_circuit(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
+    """Apply ``circuit`` to the rows of ``amps`` (shape ``(2**n, batch)``).
+
+    Each maximal run of permutation/phase gates is one row gather and one
+    in-place row scaling (the gather is skipped when the run permutes
+    nothing); each H is a butterfly on a reshaped view. ``amps`` must be
+    C-contiguous and may be overwritten.
+    """
+    dim = amps.shape[0]
+    for is_h, gates in groupby(circuit, key=lambda g: g.kind == "H"):
+        if not is_h:
+            src, phase = _fused_run(gates, dim)
+            if src is not None:
+                amps = amps[src]
+            amps *= phase[:, None]
+            continue
+        for gate in gates:
+            q = gate.qubits[0]
+            view = amps.reshape(dim >> (q + 1), 2, -1)  # axis 1 is qubit q's bit
+            a0, a1 = view[:, 0], view[:, 1]
+            diff = a0 - a1
+            a0 += a1
+            a0 *= _SQRT_HALF
+            np.multiply(diff, _SQRT_HALF, out=a1)
+    return amps
 
 
 def apply_circuit(circuit: Circuit, state: StateVector) -> StateVector:
@@ -97,11 +114,8 @@ def apply_circuit(circuit: Circuit, state: StateVector) -> StateVector:
         raise ValueError("register size mismatch")
     if circuit.n_qubits > APPLY_QUBIT_CAP:
         raise CapExceededError(f"apply_circuit capped at {APPLY_QUBIT_CAP} qubits")
-    n = circuit.n_qubits
-    tensor = state.amplitudes.astype(np.complex128, copy=True).reshape((2,) * n)
-    for gate in circuit:
-        _apply_gate(tensor, gate, n, extra_axes=0)
-    return StateVector(n, tensor.reshape(-1))
+    amps = state.amplitudes.astype(np.complex128, copy=True).reshape(-1, 1)
+    return StateVector(circuit.n_qubits, _run_circuit(circuit, amps).reshape(-1))
 
 
 def circuit_matrix(circuit: Circuit) -> np.ndarray:
@@ -109,11 +123,7 @@ def circuit_matrix(circuit: Circuit) -> np.ndarray:
     n = circuit.n_qubits
     if n > MATRIX_QUBIT_CAP:
         raise CapExceededError(f"circuit_matrix capped at {MATRIX_QUBIT_CAP} qubits")
-    dim = 1 << n
-    tensor = np.eye(dim, dtype=np.complex128).reshape((2,) * n + (dim,))
-    for gate in circuit:
-        _apply_gate(tensor, gate, n, extra_axes=1)
-    return tensor.reshape(dim, dim)
+    return _run_circuit(circuit, np.eye(1 << n, dtype=np.complex128))
 
 
 @dataclass
@@ -126,12 +136,12 @@ class Propagator:
 
 def exact_propagator(hamiltonian, time: float) -> Propagator:
     """Ground-truth propagator; ``hamiltonian`` is a SparseOperator or dense array."""
-    if isinstance(hamiltonian, SparseOperator):
-        h = hamiltonian.to_dense()
-    else:
-        h = np.asarray(hamiltonian, dtype=np.complex128)
-    if h.shape[0] > 1 << MATRIX_QUBIT_CAP:
+    sparse = isinstance(hamiltonian, SparseOperator)
+    if (hamiltonian.dim if sparse else np.shape(hamiltonian)[0]) > 1 << MATRIX_QUBIT_CAP:
         raise CapExceededError("exact_propagator capped at dimension 4096")
+    h = hamiltonian.to_dense() if sparse else np.asarray(hamiltonian)
+    # a real symmetric H stays real: eigh then runs several times faster
+    h = h.astype(np.float64 if np.isrealobj(h) else np.complex128, copy=False)
     scale = max(1.0, float(np.abs(h).max(initial=0.0)))
     if np.abs(h - h.conj().T).max(initial=0.0) > 1e-12 * scale:
         raise ValueError("exact_propagator requires a Hermitian matrix")
@@ -144,23 +154,42 @@ def assemble_hamiltonian_matrix(spec: HamiltonianSpec,
     """Dense H: potential diagonal on the coordinate grid plus F^dag K F.
 
     K is the momentum-grid diagonal of sum_a p_a**2 / 2 and F the centered
-    Fourier kernel on all bosons. Serves as the reference for Trotter and
-    block-encoding verification.
+    Fourier kernel on all bosons. Both grids are symmetric about 0 and K is
+    even in p, so F^dag K F is real; its imaginary part is rounding and is
+    dropped, which lets ``exact_propagator`` diagonalize in real arithmetic.
+    Serves as the reference for Trotter and block-encoding verification.
     """
-    h = np.diag(potential_grid_diagonal(spec)).astype(np.complex128)
+    if spec.config.total_qubits > MATRIX_QUBIT_CAP:
+        raise CapExceededError(
+            f"assemble_hamiltonian_matrix capped at {MATRIX_QUBIT_CAP} qubits")
+    h = np.diag(potential_grid_diagonal(spec))
     if include_kinetic:
         f = fourier_kernel_multi(spec.config)
-        h += f.conj().T @ (kinetic_grid_diagonal(spec)[:, None] * f)
+        h += (f.conj().T @ (kinetic_grid_diagonal(spec)[:, None] * f)).real
     return h
 
 
 def trotter_error(spec: HamiltonianSpec, total_time: float, steps: int,
-                  include_kinetic: bool = True) -> float:
-    """max entrywise |U_trotter - U_exact| for the assembled Hamiltonian."""
-    if spec.config.total_qubits > MATRIX_QUBIT_CAP:
+                  include_kinetic: bool = True, exact: Propagator | None = None) -> float:
+    """max entrywise |U_trotter - U_exact| for the assembled Hamiltonian.
+
+    U_trotter is one simulated step circuit (dt = total_time / steps) raised
+    to ``steps`` by repeated squaring. ``exact`` is the reference propagator
+    exp(-i H total_time); pass it to share one reference between step counts,
+    or leave it None to build it here.
+    """
+    n = spec.config.total_qubits
+    if n > MATRIX_QUBIT_CAP:
         raise CapExceededError(f"trotter_error capped at {MATRIX_QUBIT_CAP} qubits")
-    circuit, _ = trotter_evolution(spec, total_time, steps, include_kinetic)
-    u_trotter = circuit_matrix(circuit)
-    u_exact = exact_propagator(
-        assemble_hamiltonian_matrix(spec, include_kinetic), total_time).unitary
-    return float(np.abs(u_trotter - u_exact).max())
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if exact is None:
+        exact = exact_propagator(
+            assemble_hamiltonian_matrix(spec, include_kinetic), total_time)
+    elif exact.time != total_time or exact.unitary.shape != (1 << n, 1 << n):
+        raise ValueError(f"reference propagator (time {exact.time}, shape "
+                         f"{exact.unitary.shape}) does not match time {total_time} "
+                         f"on {n} qubits")
+    step, _ = trotter_evolution(spec, total_time / steps, 1, include_kinetic)
+    u_trotter = np.linalg.matrix_power(circuit_matrix(step), steps)
+    return float(np.abs(u_trotter - exact.unitary).max())

@@ -32,6 +32,18 @@ class TestGateAndCircuit:
         with pytest.raises(ValueError):
             circ.append(Gate("H", (-1,)))
 
+    def test_concatenation(self):
+        a = Circuit(2, [Gate("H", (0,)), Gate("CNOT", (0, 1))])
+        b = Circuit(2, [Gate("RZ", (1,), 0.3)])
+        joined = a + b
+        assert joined.n_qubits == 2
+        assert joined.gates == a.gates + b.gates
+        assert len(a) == 2 and len(b) == 1  # operands untouched
+        joined.append(Gate("X", (1,)))
+        assert len(a) == 2
+        with pytest.raises(ValueError, match="register size mismatch"):
+            a + Circuit(3)
+
     def test_counts(self):
         circ = Circuit(2, [Gate("H", (0,)), Gate("CNOT", (0, 1)), Gate("H", (1,))])
         assert circ.counts() == {"H": 2, "CNOT": 1}
@@ -211,6 +223,13 @@ class TestTrotterEvolution:
         cn, rn = trotter_evolution(spec, 1.0, 8)
         assert rn.total == 8 * r1.total
         assert len(cn) == rn.total
+
+    def test_repeats_the_step(self):
+        spec = anharmonic_spec(qubits=2)
+        step, _ = trotter_step(spec, 1.0 / 3)
+        cn, _ = trotter_evolution(spec, 1.0, 3)
+        assert cn.n_qubits == step.n_qubits
+        assert cn.gates == step.gates * 3
 
     def test_steps_validation(self):
         with pytest.raises(ValueError):

@@ -208,6 +208,28 @@ class TestTrotter:
         assert 0.4 <= doc["halving_ratio"] <= 0.6
         assert doc["trotter_error"] < doc["trotter_error_half_steps"]
 
+    def test_verify_builds_one_reference(self, spec_file, capsys, monkeypatch):
+        import qboson.simulate as simulate
+        calls = []
+        original = simulate.exact_propagator
+
+        def counted(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(simulate, "exact_propagator", counted)
+        code, out = run_cli(["trotter", spec_file(ANHARMONIC), "--time", "0.5",
+                             "--steps", "4", "--verify", "--format", "json"], capsys)
+        assert code == 0 and calls == [0.5]
+        assert "halving_ratio" in json.loads(out)
+
+    def test_verify_cap_exit_3(self, spec_file, capsys):
+        doc = dict(ANHARMONIC, qubits_per_boson=13,
+                   potential=[{"coeff": 1.0, "exponents": [2]}])
+        code = main(["trotter", spec_file(doc), "--time", "1", "--steps", "2", "--verify"])
+        assert code == 3
+        assert "capped at 12 qubits" in capsys.readouterr().err
+
     def test_verify_tol_exit_4(self, spec_file, capsys):
         path = spec_file(ANHARMONIC)
         code = main(["trotter", path, "--time", "1.0", "--steps", "4",

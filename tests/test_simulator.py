@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qboson import (CapExceededError, Circuit, Gate, HamiltonianSpec, Monomial,
                     PolynomialPotential, Propagator, SparseOperator, StateVector,
@@ -16,6 +18,92 @@ from qboson import (CapExceededError, Circuit, Gate, HamiltonianSpec, Monomial,
 def anharmonic_spec(qubits=3, radius=2.0, coeffs=None):
     return HamiltonianSpec(TruncationConfig(1, qubits, radius),
                            PolynomialPotential.one_boson(coeffs or {2: 1.0, 4: 1.0}))
+
+
+# -- dense oracle: every gate as a sum of Kronecker products of 2x2 factors ---------
+
+_I2 = np.eye(2)
+_X2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+_Y2 = np.array([[0.0, -1j], [1j, 0.0]])
+_Z2 = np.diag([1.0, -1.0])
+_P0, _P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+
+
+def _embed(n, factors):
+    """kron over qubits n-1 .. 0 (qubit j is the 2**j bit) of factors.get(j, I)."""
+    out = np.eye(1)
+    for q in range(n - 1, -1, -1):
+        out = np.kron(out, factors.get(q, _I2))
+    return out
+
+
+def _gate_matrix(gate, n):
+    kind, qs, phi = gate.kind, gate.qubits, gate.angle
+    if kind == "H":
+        return _embed(n, {qs[0]: np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)})
+    if kind == "X":
+        return _embed(n, {qs[0]: _X2})
+    if kind == "RZ":
+        return _embed(n, {qs[0]: np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)])})
+    if kind == "DIAGPHASE":
+        return _embed(n, {qs[0]: np.diag([1.0, np.exp(1j * phi)])})
+    if kind == "PHASE":
+        return np.exp(1j * phi) * np.eye(1 << n)
+    c, t = qs
+    if kind == "CNOT":
+        return _embed(n, {c: _P0}) + _embed(n, {c: _P1, t: _X2})
+    if kind == "CPHASE":
+        return np.eye(1 << n) + (np.exp(1j * phi) - 1) * _embed(n, {c: _P1, t: _P1})
+    assert kind == "SWAP"
+    return sum(_embed(n, {c: p, t: p}) for p in (_I2, _X2, _Y2, _Z2)) / 2
+
+
+def _oracle_unitary(circuit):
+    u = np.eye(1 << circuit.n_qubits, dtype=np.complex128)
+    for gate in circuit:
+        u = _gate_matrix(gate, circuit.n_qubits) @ u
+    return u
+
+
+@st.composite
+def random_circuits(draw):
+    n = draw(st.integers(1, 6))
+    kinds = ["X", "RZ", "DIAGPHASE", "PHASE"] + (["CNOT", "CPHASE", "SWAP"] if n > 1 else [])
+    if draw(st.booleans()):  # half the circuits are H-free: one fused run, no butterfly
+        kinds.append("H")
+    angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=30)):
+        arity = {"PHASE": 0, "CNOT": 2, "CPHASE": 2, "SWAP": 2}.get(kind, 1)
+        qubits = tuple(draw(st.permutations(range(n)))[:arity])
+        angle = draw(angles) if kind in ("RZ", "DIAGPHASE", "PHASE", "CPHASE") else None
+        gates.append(Gate(kind, qubits, angle))
+    return Circuit(n, gates)
+
+
+class TestFusedKernel:
+    @given(circ=random_circuits())
+    @settings(max_examples=200, deadline=None)
+    def test_circuit_matrix_matches_kron_product(self, circ):
+        assert np.abs(circuit_matrix(circ) - _oracle_unitary(circ)).max() < 1e-12
+
+    @given(circ=random_circuits(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_apply_circuit_matches_kron_product(self, circ, seed):
+        rng = np.random.default_rng(seed)
+        dim = 1 << circ.n_qubits
+        amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        out = apply_circuit(circ, StateVector(circ.n_qubits, amps)).amplitudes
+        assert np.abs(out - _oracle_unitary(circ) @ amps).max() < 1e-12
+
+    def test_oracle_conventions(self):
+        # the oracle itself against hand-written 2-qubit matrices (qubit 0 = bit 1)
+        cnot01 = np.eye(4)[[0, 3, 2, 1]]  # control 0 set: |1> <-> |3>
+        assert np.array_equal(_gate_matrix(Gate("CNOT", (0, 1)), 2), cnot01)
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        assert np.array_equal(_gate_matrix(Gate("SWAP", (0, 1)), 2).real, swap)
+        assert np.allclose(_gate_matrix(Gate("CPHASE", (1, 0), 0.5), 2),
+                           np.diag([1, 1, 1, np.exp(0.5j)]))
 
 
 class TestApplyCircuit:
@@ -113,6 +201,20 @@ class TestExactPropagator:
         with pytest.raises(ValueError, match="Hermitian"):
             exact_propagator(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
+    def test_cap_before_dense(self, monkeypatch):
+        # 8192 x 8192 complex would be 1 GiB: the cap must fire before to_dense
+        monkeypatch.setattr(SparseOperator, "to_dense",
+                            lambda op: pytest.fail("densified before the size cap"))
+        with pytest.raises(CapExceededError):
+            exact_propagator(SparseOperator.identity(1 << 13), 1.0)
+
+    def test_real_and_complex_input_agree(self):
+        h = assemble_hamiltonian_matrix(anharmonic_spec())
+        assert h.dtype == np.float64
+        u_real = exact_propagator(h, 0.7).unitary
+        u_complex = exact_propagator(h.astype(np.complex128), 0.7).unitary
+        assert np.abs(u_real - u_complex).max() < 1e-13
+
     def test_accepts_sparse_operator(self):
         prop = exact_propagator(SparseOperator.identity(4), 1.0)
         assert isinstance(prop, Propagator)
@@ -132,6 +234,22 @@ class TestHamiltonianAssembly:
     def test_hermitian(self):
         h = assemble_hamiltonian_matrix(anharmonic_spec(qubits=4))
         assert np.abs(h - h.conj().T).max() < 1e-12
+
+    def test_kinetic_part_is_real(self):
+        # the imaginary part that assembly drops is rounding only
+        spec = anharmonic_spec(qubits=4)
+        f = fourier_kernel_multi(spec.config)
+        k = reconstruct(kinetic_zsum(spec)).to_dense()
+        fkf = f.conj().T @ k @ f
+        assert np.abs(fkf.imag).max() < 1e-12
+        h = assemble_hamiltonian_matrix(spec) - assemble_hamiltonian_matrix(spec, False)
+        assert np.abs(h - fkf.real).max() < 1e-10
+
+    def test_cap(self):
+        spec = HamiltonianSpec(TruncationConfig(1, 13, 2.0),
+                               PolynomialPotential.one_boson({2: 1.0}))
+        with pytest.raises(CapExceededError):
+            assemble_hamiltonian_matrix(spec)
 
 
 class TestTrotterError:
@@ -171,3 +289,39 @@ class TestTrotterError:
         u_exact = exact_propagator(assemble_hamiltonian_matrix(spec), 0.5).unitary
         assert np.abs(u - u_exact).max() < 0.05
         assert trotter_error(spec, 0.5, 32) < trotter_error(spec, 0.5, 16)
+
+
+def two_boson_spec():
+    return HamiltonianSpec(TruncationConfig(2, 2, 2.0), PolynomialPotential(2, (
+        Monomial(1.0, {0: 2}), Monomial(1.0, {1: 2}),
+        Monomial(0.5, {0: 2, 1: 2}), Monomial(1.0, {0: 4}))))
+
+
+class TestStepPowerAndSharedReference:
+    @pytest.mark.parametrize("spec", [anharmonic_spec(), two_boson_spec()],
+                             ids=["one-boson", "two-boson"])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 8])
+    def test_equals_full_circuit(self, spec, steps):
+        # oracle: the whole N-step circuit simulated gate by gate, no matrix power
+        circ, _ = trotter_evolution(spec, 0.7, steps)
+        u_exact = exact_propagator(assemble_hamiltonian_matrix(spec), 0.7).unitary
+        expected = np.abs(circuit_matrix(circ) - u_exact).max()
+        assert abs(trotter_error(spec, 0.7, steps) - expected) <= 1e-12 * expected
+
+    def test_shared_reference_gives_same_errors(self):
+        spec = two_boson_spec()
+        exact = exact_propagator(assemble_hamiltonian_matrix(spec), 0.5)
+        for steps in (2, 4):
+            assert trotter_error(spec, 0.5, steps, exact=exact) == trotter_error(spec, 0.5, steps)
+
+    def test_reference_must_match(self):
+        spec = anharmonic_spec()
+        h = assemble_hamiltonian_matrix(spec)
+        with pytest.raises(ValueError, match="does not match"):
+            trotter_error(spec, 0.5, 2, exact=exact_propagator(h, 0.25))
+        with pytest.raises(ValueError, match="does not match"):
+            trotter_error(spec, 0.5, 2, exact=exact_propagator(h[:4, :4], 0.5))
+
+    def test_steps_validation(self):
+        with pytest.raises(ValueError, match="steps"):
+            trotter_error(anharmonic_spec(), 0.5, 0)
