@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CapExceededError
 from .hamiltonian import HamiltonianSpec, expand_potential_zsum, kinetic_zsum
 from .operators import fourier_kernel_multi
-from .pauli import PauliSum, PauliTerm
+from .pauli import I_POWERS, PauliSum, PauliTerm
 from .sparse import SparseOperator
 
 VERIFY_QUBIT_CAP = 14
@@ -126,30 +126,34 @@ def build_select(plan: LCUPlan, fourier: np.ndarray | None = None) -> SparseOper
     Ancilla branch i applies sign_i * string_i for potential tags,
     F^dag (sign_i * string_i) F for kinetic tags, and the identity on unused
     branches. ``fourier`` is the centered kernel over all bosons; it is
-    required when the plan has kinetic branches.
+    required when the plan has kinetic branches. The branches of each tag are
+    formed in one pass from their mask columns: row r of string (x, z) holds
+    i^{#Y} (-1)^{|(r ^ x) & z|} in column r ^ x, so P F is a row gather of F
+    and every kinetic block comes from one batched product.
     """
     if fourier is None and plan.count_tagged(KINETIC):
         raise ValueError("kinetic branches need the Fourier kernel; pass fourier=")
     dim_sys = 1 << plan.n_system_qubits
-    rows, cols, vals = [], [], []
-    for i in range(1 << plan.ancilla_count):
-        if i < plan.n_terms:
-            term, tag = plan.terms[i]
-            string = term.string_matrix()
-            r, c, v = string.rows, string.cols, plan.signs[i] * string.vals
-            if tag == KINETIC:  # row r of P holds vals[r] at cols[r], so P F is a row gather
-                pf = string.vals[:, None] * fourier[string.cols]
-                block = plan.signs[i] * (fourier.conj().T @ pf)
-                r, c = np.nonzero(block)
-                v = block[r, c]
-        else:
-            r = c = np.arange(dim_sys)
-            v = np.ones(dim_sys)
-        rows.append(r + i * dim_sys)
-        cols.append(c + i * dim_sys)
-        vals.append(v)
-    return SparseOperator(dim_sys << plan.ancilla_count, np.concatenate(rows),
-                          np.concatenate(cols), np.concatenate(vals))
+    cols = np.arange(dim_sys)
+    unused = np.arange(plan.n_terms, 1 << plan.ancilla_count)[:, None] * dim_sys
+    entries = [(cols + unused, cols + unused, np.ones((len(unused), dim_sys)))]
+    for tag in (POTENTIAL, KINETIC):
+        branch = [i for i, (_, t) in enumerate(plan.terms) if t == tag]
+        x = np.array([plan.terms[i][0].x_mask for i in branch], dtype=np.int64)[:, None]
+        z = np.array([plan.terms[i][0].z_mask for i in branch], dtype=np.int64)[:, None]
+        offset = np.array(branch, dtype=np.int64)[:, None] * dim_sys
+        phase = (np.array([plan.signs[i] for i in branch])[:, None]
+                 * I_POWERS[np.bitwise_count(x & z) % 4])
+        src = cols ^ x  # row r of each signed string holds vals[r] in column src[r]
+        vals = phase * (1.0 - 2.0 * (np.bitwise_count(src & z) & 1))
+        if tag == POTENTIAL:
+            entries.append((cols + offset, src + offset, vals))
+        elif branch:
+            blocks = fourier.conj().T @ (vals[:, :, None] * fourier[src])
+            b, r, c = np.nonzero(blocks)
+            entries.append((r + offset[b, 0], c + offset[b, 0], blocks[b, r, c]))
+    rows, cols, vals = (np.concatenate([e[j].ravel() for e in entries]) for j in range(3))
+    return SparseOperator(dim_sys << plan.ancilla_count, rows, cols, vals)
 
 
 @dataclass

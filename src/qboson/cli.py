@@ -87,13 +87,19 @@ def cmd_table1(args) -> int:
 
 
 def cmd_count(args) -> int:
-    """Per-Q Pauli-string counts of the potential term in the spec's basis."""
+    """Per-Q Pauli-string counts of the potential term in the spec's basis.
+
+    On the coordinate route n_pauli and the census count the exact support;
+    n_pruned counts what a relative prune at --tol keeps, and dropped_l1 sums
+    the magnitudes it drops. The Fock route counts at --tol throughout.
+    """
     spec = load_hamiltonian_spec(args.spec)
     q_lo = spec.config.qubits_per_boson if args.q_min is None else args.q_min
     q_hi = q_lo if args.q_max is None else args.q_max
     if q_hi < q_lo:
         raise SpecFileError(f"bad Q range [{q_lo}, {q_hi}]")
-    header = ["Q", "basis", "n_pauli", "n_nontrivial", "raw_strings", "census"]
+    header = ["Q", "basis", "n_pauli", "n_nontrivial", "raw_strings", "census",
+              "n_pruned", "dropped_l1"]
     rows = []
     for q in range(q_lo, q_hi + 1):
         sq = _respec_q(spec, q)
@@ -101,12 +107,14 @@ def cmd_count(args) -> int:
             psum = decompose_tensorized(fock_potential(sq), args.tol)
             raw = ""
         else:
-            psum = expand_potential_zsum(sq).prune(args.tol)
+            psum = expand_potential_zsum(sq)
             raw = raw_string_count(sq.potential, q)
         census = string_census(psum)
         n_all = count_strings(psum)
         n_nontrivial = n_all - census.by_length.get(0, 0)
-        rows.append([q, spec.basis.value, n_all, n_nontrivial, raw, _census_cell(census)])
+        n_pruned = count_strings(psum.prune(args.tol))
+        rows.append([q, spec.basis.value, n_all, n_nontrivial, raw, _census_cell(census),
+                     n_pruned, psum.dropped_l1(args.tol)])
     doc = {"spec": args.spec,
            "rows": [dict(zip(header, r)) for r in rows]}
     _emit_table(header, rows, doc, args)

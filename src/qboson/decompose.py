@@ -11,15 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapExceededError
-from .pauli import RELATIVE_PRUNE_TOL, PauliSum
+from .pauli import I_POWERS, RELATIVE_PRUNE_TOL, PauliSum
 from .sparse import SparseOperator, qubit_count
 
 TRACE_QUBIT_CAP = 8
 
 # complex entries in one batch of transformed diagonals (16 MiB)
 BATCH_ENTRIES = 1 << 20
-
-_I_POWERS = np.array([1, 1j, -1, -1j])  # i**k for k mod 4; conjugate gives (-i)**k
 
 
 def decompose_trace(op: SparseOperator, cap: int = TRACE_QUBIT_CAP,
@@ -35,7 +33,7 @@ def decompose_trace(op: SparseOperator, cap: int = TRACE_QUBIT_CAP,
         raise CapExceededError(f"decompose_trace capped at {cap} qubits, got {n}")
     dim = op.dim
     zs = np.arange(dim)
-    coeffs: dict[tuple[int, int], complex] = {}
+    found = []
     xors = op.rows ^ op.cols
     for x in np.unique(xors):
         sel = xors == x
@@ -45,10 +43,10 @@ def decompose_trace(op: SparseOperator, cap: int = TRACE_QUBIT_CAP,
         signs = 1.0 - 2.0 * (np.bitwise_count(zs[:, None] & cols[None, :]) & 1)
         sums = signs @ vals
         phases = (-1j) ** (np.bitwise_count(zs & int(x)) % 4)
-        cvals = phases * sums / dim
-        for z in np.nonzero(np.abs(cvals) > 0)[0]:
-            coeffs[(int(x), int(z))] = complex(cvals[z])
-    return PauliSum(n, coeffs).prune(rel_tol)
+        found.append((np.full(dim, x), zs, phases * sums / dim))
+    if not found:
+        return PauliSum(n)
+    return PauliSum.from_arrays(n, *(np.concatenate(parts) for parts in zip(*found))).prune(rel_tol)
 
 
 def _transformed_diagonals(dim: int, xs, index, vals):
@@ -84,12 +82,12 @@ def decompose_tensorized(op: SparseOperator,
         mags = np.abs(work)
         peak = max(peak, float(mags.max()))
         g, z = np.nonzero(mags > rel_tol * peak)
-        found.append((xs[g], z, work[g, z] * _I_POWERS[np.bitwise_count(xs[g] & z) % 4].conj()))
+        found.append((xs[g], z, work[g, z] * I_POWERS[np.bitwise_count(xs[g] & z) % 4].conj()))
     if not found:
         return PauliSum(n)
     xs, zs, coeffs = (np.concatenate(parts) for parts in zip(*found))
     keep = np.abs(coeffs) > rel_tol * peak
-    return PauliSum(n, dict(zip(zip(xs[keep].tolist(), zs[keep].tolist()), coeffs[keep].tolist())))
+    return PauliSum.from_arrays(n, xs[keep], zs[keep], coeffs[keep])
 
 
 def reconstruct(psum: PauliSum) -> SparseOperator:
@@ -97,9 +95,8 @@ def reconstruct(psum: PauliSum) -> SparseOperator:
     dim = 1 << psum.n_qubits
     if not len(psum):
         return SparseOperator.zeros(dim)
-    keys, coeffs = zip(*psum.items())
-    xs, zs = np.array(keys, dtype=np.int64).T
-    coeffs = np.array(coeffs, dtype=np.complex128) * _I_POWERS[np.bitwise_count(xs & zs) % 4]
+    xs, zs = (w[:, 0].astype(np.int64) for w in (psum.x_words, psum.z_words))
+    coeffs = psum.coeffs * I_POWERS[np.bitwise_count(xs & zs) % 4]
     found = []
     for x, work in _transformed_diagonals(dim, xs, zs, coeffs):
         g, c = np.nonzero(work)

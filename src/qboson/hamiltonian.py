@@ -7,7 +7,9 @@ dense-basis alternatives whose decompositions grow exponentially.
 """
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -18,9 +20,8 @@ import numpy as np
 
 from .errors import CapExceededError, SpecFileError
 from .operators import (FockParams, TruncationConfig, coordinate_values, fock_p,
-                        fock_x, momentum_values, momentum_zsum, p2_finite_difference,
-                        position_zsum)
-from .pauli import PauliSum
+                        fock_x, momentum_values, p2_finite_difference)
+from .pauli import PauliSum, single_qubit_words
 from .sparse import SparseOperator
 
 FOCK_TOTAL_QUBIT_CAP = 14  # dense/banded matrix products stop being desk-scale
@@ -126,38 +127,210 @@ class HamiltonianSpec:
 
 
 # -- coordinate-basis expansions ------------------------------------------------
+# On Q qubits, x = alpha * sum_j w_j Z_j with w_j = 2**(j-Q) and
+# alpha = -step * 2**(Q-1) (step = dx, or dp for the momentum grid). In the
+# multinomial expansion of (sum_j w_j Z_j)**d, Z_j**2 = I leaves the string Z_S,
+# S = {j : Z_j appears an odd number of times}, so |S| <= d, |S| = d (mod 2),
+# with coefficient
+#     d! * prod_{j in S} w_j * E_r(S),   r = (d - |S|) / 2,
+#     E_r(S) = [u**r] prod_{j not in S} cosh(w_j t) * prod_{j in S} sinh(w_j t)/(w_j t)
+# in u = t**2: a sum of positive terms. A monomial over several bosons is the
+# product of its bosons' factors on disjoint qubits, so its strings fall into
+# "shapes", one support size per boson, and every monomial whose shape sets
+# include a shape adds a multiple of the same string list.
 
-def _multiply_zsum_factor(acc: dict[int, float], factor: PauliSum) -> dict[int, float]:
-    """Multiply a z_mask -> coefficient map by a sum of single-Z strings."""
-    out: dict[int, float] = {}
-    for mask, coeff in acc.items():
-        for (_, bit), w in factor.items():
-            key = mask ^ bit  # sigma_z**2 = I collapses repeated qubits
-            out[key] = out.get(key, 0.0) + coeff * w
+EXPANSION_STRING_CAP = 1 << 25  # strings one expansion may enumerate (about 1 GiB)
+
+# A shape whose monomials have coefficients of both signs may cancel. Where the
+# float sum is within this share of the summed magnitudes (far above its
+# rounding error), the string's coefficient is recomputed in exact rationals.
+_EXACT_RECHECK = 2.0 ** -30
+
+
+def _series_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of power series in u stored along axis 0, to the same order."""
+    if len(a) == 1:
+        return a * b
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    for t in range(len(out)):
+        out[t] = a[0] * b[t]
+        for s in range(1, t + 1):
+            out[t] += a[s] * b[t - s]
     return out
+
+
+def _cosh_gaps(q: int, r: int) -> np.ndarray:
+    """gap[t, a, b] = [u**t] prod_{a <= j < b} cosh(w_j sqrt(u)), zero for a > b.
+
+    Going from [a, j) to [a, j+1) adds sum_s w_j**(2s)/(2s)! * gap[t-s, a, j]
+    to coefficient t, so each order is one cumulative sum of positive terms.
+    """
+    y = np.ldexp(1.0, 2 * (np.arange(q) - q))  # w_j**2
+    terms = [y ** s / math.factorial(2 * s) for s in range(1, r + 1)]
+    gap = np.zeros((r + 1, q + 1, q + 1))
+    gap[0] = np.tri(q + 1).T
+    for t in range(1, r + 1):
+        added = terms[0] * gap[t - 1, :, :q]
+        for s in range(2, t + 1):
+            added += terms[s - 1] * gap[t - s, :, :q]
+        np.cumsum(added, axis=1, out=gap[t, :, 1:])
+    return gap
+
+
+def _colex_levels(q: int, k_max: int, d_max: int, wanted) -> list[tuple]:
+    """The k-subsets S of range(q) for k <= k_max, with their coefficients.
+
+    Level k is ``(lead, top, coef)``. It lists the subsets in increasing mask
+    order (colexicographic): row i is row ``lead[i]`` of level k-1 plus the
+    qubit ``top[i] = max S``. The subsets of range(t) lead that order, so top
+    t extends the first C(t, k-1) rows of the level below.
+    ``coef[t, i] = prod_{j in S} w_j * E_t(S)`` for t <= (d_max - k) // 2,
+    on the levels in ``wanted`` (None on the others). A subset's series is
+    built along the same steps: the cosh run below the new top, then the
+    top's sinh factor, and last the cosh run above it, all positive terms.
+    """
+    r_max = d_max // 2
+    gap = _cosh_gaps(q, r_max)
+    t = np.arange(r_max + 1)
+    # w_j * sinh(w_j sqrt u) / (w_j sqrt u) = sum_t w_j**(2t+1) / (2t+1)! u**t
+    odd = np.ldexp(1.0, np.outer(2 * t + 1, np.arange(q) - q)) / [
+        [math.factorial(2 * i + 1)] for i in t.tolist()]
+    # step[:, a, b]: from a subset whose top is a - 1 to one with top b, the
+    # qubits [a, b) and then b; last[:, a, b] also covers the qubits above b
+    step = _series_multiply(gap[:, :, :q], odd[:, None, :])
+    last = _series_multiply(step, gap[:, None, 1:, q])
+    head, top = np.eye(r_max + 1, 1), np.array([-1])
+    levels = [(None, top, gap[:, 0, q:] if 0 in wanted else None)]
+    for k in range(1, k_max + 1):
+        r = (d_max - k) // 2
+        tops = np.arange(k - 1, q, dtype=np.int32)
+        counts = np.array([math.comb(i, k - 1) for i in tops.tolist()])
+        lead = np.arange(counts.sum(), dtype=np.int32) - np.repeat(
+            (np.cumsum(counts) - counts).astype(np.int32), counts)
+        below, top = top[lead] + 1, np.repeat(tops, counts)
+        head = head[:r + 1, lead]
+        coef = _series_multiply(head, last[:r + 1, below, top]) if k in wanted else None
+        if k < k_max:
+            head = _series_multiply(head, step[:r + 1, below, top])
+        levels.append((lead, top, coef))
+    return levels
+
+
+def _subset_at(levels, k: int, i: int) -> list[int]:
+    """Row i of level k, traced back through the levels."""
+    out = []
+    for lead, top, _ in reversed(levels[1:k + 1]):
+        out.append(int(top[i]))
+        i = lead[i]
+    return out[::-1]
+
+
+def _exact_factor(subset, q: int, d: int):
+    """d! * prod_{j in S} w_j * E_r(S) for one subset S, as a Fraction."""
+    from fractions import Fraction
+    r = (d - len(subset)) // 2
+    inside = set(subset)
+    poly = [Fraction(1)] + [Fraction(0)] * r
+    for j in range(q):
+        w2 = Fraction(1, 4 ** (q - j))
+        series = [w2 ** i / math.factorial(2 * i + (j in inside)) for i in range(r + 1)]
+        poly = [sum(poly[s] * series[i - s] for s in range(i + 1)) for i in range(r + 1)]
+    return math.factorial(d) * poly[r] / 2 ** sum(q - j for j in subset)
+
+
+def _zsum(config: TruncationConfig, step: float,
+          monomials: list[tuple[float, tuple[int, ...]]]) -> PauliSum:
+    """Z-strings of sum_m c_m prod_a x_a**d_a with x_a the Q-term Z-sum of
+    grid spacing ``step``: exact support, exact zeros dropped."""
+    q, bosons, n = config.qubits_per_boson, config.bosons, config.total_qubits
+    # monomials with equal exponents share every string; math.fsum rounds their
+    # exact sum once, so a group that cancels exactly leaves nothing behind
+    groups: dict[tuple[int, ...], list[float]] = {}
+    for coeff, powers in monomials:
+        groups.setdefault(powers, []).append(coeff)
+    alpha = math.ldexp(-step, q - 1)
+    shapes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for powers, cs in groups.items():
+        if math.fsum(cs):
+            for shape in itertools.product(*(range(d % 2, min(d, q) + 1, 2) for d in powers)):
+                shapes.setdefault(shape, []).append(powers)
+    total = sum(math.prod(math.comb(q, k) for k in shape) for shape in shapes)
+    if total > EXPANSION_STRING_CAP:
+        raise CapExceededError(f"Z-sum expansion on {q} qubits per boson has {total} "
+                               f"strings, capped at {EXPANSION_STRING_CAP}")
+    if not shapes:
+        return PauliSum(n)
+    z, coeff = _shape_blocks(q, n, alpha, groups, shapes)
+    if not coeff.all():
+        z, coeff = z[coeff != 0.0], coeff[coeff != 0.0]
+    if bosons == 1:  # one shape per weight, masks ascending in each: canonical
+        return PauliSum._wrap(n, np.zeros_like(z), z, coeff.astype(np.complex128))
+    return PauliSum.from_arrays(n, np.zeros_like(z), z, coeff)
+
+
+def _shape_blocks(q: int, n: int, alpha: float, groups: dict, shapes: dict):
+    """Z masks and coefficients of every shape, shapes in order of total weight."""
+    bosons = len(next(iter(shapes)))
+    levels = _colex_levels(q, max(max(s) for s in shapes), max(max(p) for p in groups),
+                           {k for shape in shapes for k in shape})
+    bits = single_qubit_words(n)
+    masks = {}
+
+    def boson_masks(a, k):
+        """Masks of boson a's k-subsets, built level by level."""
+        done = masks.setdefault(a, [np.zeros((1, bits.shape[1]), dtype=np.uint64)])
+        while len(done) <= k:
+            lead, top, _ = levels[len(done)]
+            done.append(done[-1][lead] | bits[a * q + top])
+        return done[k]
+
+    def factor(d, k):
+        """d! * prod_{j in S} w_j * E_r(S) for every k-subset S."""
+        return math.factorial(d) * levels[k][2][(d - k) // 2]
+
+    z_blocks, c_blocks = [], []
+    for shape in sorted(shapes, key=sum):
+        # the highest boson varies slowest, so z ascends within the shape
+        z = boson_masks(bosons - 1, shape[-1])
+        for a in range(bosons - 2, -1, -1):
+            z = (z[:, None] | boson_masks(a, shape[a])[None]).reshape(-1, z.shape[1])
+        parts = []
+        for powers in shapes[shape]:
+            part = math.fsum(groups[powers]) * alpha ** sum(powers)
+            for a in range(bosons - 1, -1, -1):
+                part = np.multiply.outer(part, factor(powers[a], shape[a])).ravel()
+            parts.append(part)
+        coeff = parts[0] if len(parts) == 1 else np.sum(parts, axis=0)
+        if len({math.fsum(groups[p]) > 0 for p in shapes[shape]}) > 1:
+            from fractions import Fraction  # only here: it also loads decimal
+            magnitude = np.sum(np.abs(parts), axis=0)
+            sizes = [math.comb(q, k) for k in reversed(shape)]
+            for i in np.flatnonzero(np.abs(coeff) <= _EXACT_RECHECK * magnitude).tolist():
+                picks = np.unravel_index(i, sizes)[::-1]
+                subsets = [_subset_at(levels, k, p) for k, p in zip(shape, picks)]
+                coeff[i] = float(sum(
+                    sum(map(Fraction, groups[p])) * Fraction(alpha) ** sum(p)
+                    * math.prod(_exact_factor(s, q, d) for s, d in zip(subsets, p))
+                    for p in shapes[shape]))
+        z_blocks.append(z)
+        c_blocks.append(coeff)
+    return np.concatenate(z_blocks), np.concatenate(c_blocks)
 
 
 def expand_potential_zsum(spec: HamiltonianSpec) -> PauliSum:
     """Substitute each x_a by its Z-sum and distribute all products.
 
-    Every factor of every monomial multiplies the raw term count by Q; the
-    returned sum is the merged result (identity term retained).
+    The strings are enumerated directly from their closed-form coefficients,
+    one support shape at a time, so the result is the exact support: only
+    strings whose coefficient is exactly zero (decided in rationals where
+    monomials of opposite sign meet) are left out. The identity is kept.
     """
     cfg = spec.config
     if spec.potential.terms and spec.potential.degree == 0:
         warnings.warn("potential has only constant terms; expansion is a pure phase")
-    acc: dict[tuple[int, int], complex] = {}
-    for mono in spec.potential.terms:
-        cur: dict[int, float] = {0: mono.coefficient}
-        for boson in sorted(mono.exponents):
-            x = position_zsum(cfg, boson)
-            for _ in range(mono.exponents[boson]):
-                cur = _multiply_zsum_factor(cur, x)
-        for mask, coeff in cur.items():
-            key = (0, mask)
-            acc[key] = acc.get(key, 0.0) + coeff
-    # drop exact zeros only: count --tol applies the caller's tolerance
-    return PauliSum(cfg.total_qubits, acc).prune(0.0)
+    return _zsum(cfg, cfg.spacing,
+                 [(m.coefficient, tuple(m.exponents.get(a, 0) for a in range(cfg.bosons)))
+                  for m in spec.potential.terms])
 
 
 def raw_string_count(potential: PolynomialPotential, qubits_per_boson: int) -> int:
@@ -175,13 +348,9 @@ def kinetic_zsum(spec: HamiltonianSpec) -> PauliSum:
         raise ValueError(f"kinetic_zsum needs {KineticScheme.MOMENTUM_DIAGONAL}, "
                          f"got {spec.kinetic_scheme}")
     cfg = spec.config
-    acc: dict[tuple[int, int], complex] = {}
-    for boson in range(cfg.bosons):
-        p = momentum_zsum(cfg, boson)
-        cur = _multiply_zsum_factor(_multiply_zsum_factor({0: 0.5}, p), p)
-        for mask, coeff in cur.items():
-            acc[(0, mask)] = acc.get((0, mask), 0.0) + coeff
-    return PauliSum(cfg.total_qubits, acc).prune(0.0)
+    return _zsum(cfg, cfg.momentum_spacing,
+                 [(0.5, tuple(2 * (b == a) for b in range(cfg.bosons)))
+                  for a in range(cfg.bosons)])
 
 
 def _embed_per_boson(config: TruncationConfig, local: SparseOperator) -> SparseOperator:
@@ -311,6 +480,14 @@ def _real(value, where: str) -> float:
     raise SpecFileError(f"{where} must be a finite JSON number, got {value!r}")
 
 
+def _choice(kind: type[Enum], value, where: str) -> Enum:
+    for member in kind:
+        if member.value == value:
+            return member
+    allowed = ", ".join(repr(m.value) for m in kind)
+    raise SpecFileError(f"{where} must be one of {allowed}, got {value!r}")
+
+
 def _monomial(doc, bosons: int, where: str) -> Monomial:
     _checked_object(doc, where, _TERM_KEYS, _TERM_KEYS)
     expo = doc["exponents"]
@@ -337,8 +514,9 @@ def hamiltonian_spec_from_dict(doc: dict) -> HamiltonianSpec:
         config = TruncationConfig(bosons, qubits,
                                   None if radius is None else _real(radius, "radius"))
         terms = [_monomial(td, bosons, f"potential term {i}") for i, td in enumerate(potential)]
-        scheme = KineticScheme(doc.get("kinetic_scheme", "momentum-basis-diagonal"))
-        basis = BasisChoice(doc.get("basis", "coordinate-qft"))
+        scheme = _choice(KineticScheme, doc.get("kinetic_scheme", "momentum-basis-diagonal"),
+                         "kinetic_scheme")
+        basis = _choice(BasisChoice, doc.get("basis", "coordinate-qft"), "basis")
         fock_params = FockParams(_real(fock_doc.get("mass", 1.0), "fock: mass"),
                                  _real(fock_doc.get("frequency", 1.0), "fock: frequency"))
         return HamiltonianSpec(config, PolynomialPotential(bosons, tuple(terms)),
@@ -356,6 +534,8 @@ def load_hamiltonian_spec(path) -> HamiltonianSpec:
     except json.JSONDecodeError as exc:
         raise SpecFileError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, too many digits, too deep
+        raise SpecFileError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise SpecFileError(f"{path}: top-level JSON object expected")
     return hamiltonian_spec_from_dict(doc)

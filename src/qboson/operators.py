@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .pauli import PauliSum, PauliTerm
+from .pauli import PauliSum, single_qubit_words
 from .sparse import SparseOperator
 
 
@@ -112,12 +112,10 @@ def _check_boson(config: TruncationConfig, boson: int) -> None:
 
 def _diagonal_zsum(config: TruncationConfig, boson: int, step: float) -> PauliSum:
     # step * (n - (Lambda-1)/2) == -step * sum_j 2^j sigma_z(j) / 2
-    q0 = boson * config.qubits_per_boson
-    terms = [
-        PauliTerm(config.total_qubits, 0, 1 << (q0 + j), -step * (1 << j) / 2.0)
-        for j in range(config.qubits_per_boson)
-    ]
-    return PauliSum.from_terms(config.total_qubits, terms)
+    j = np.arange(config.qubits_per_boson)
+    z = single_qubit_words(config.total_qubits)[boson * config.qubits_per_boson + j]
+    return PauliSum.from_arrays(config.total_qubits, np.zeros_like(z), z,
+                                -step * np.ldexp(1.0, j) / 2.0)
 
 
 def position_zsum(config: TruncationConfig, boson: int = 0) -> PauliSum:

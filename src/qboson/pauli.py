@@ -8,6 +8,7 @@ serialization prints the most-significant qubit leftmost.
 from __future__ import annotations
 
 import cmath
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -20,6 +21,10 @@ from .sparse import SparseOperator
 RELATIVE_PRUNE_TOL = 1e-12
 
 _LETTERS = ("I", "X", "Z", "Y")  # indexed by x_bit + 2*z_bit
+
+I_POWERS = np.array([1, 1j, -1, -1j])  # i**k for k mod 4; conjugate gives (-i)**k
+
+_WORD = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -93,42 +98,146 @@ class PauliTerm:
         return self.coefficient * self.string_matrix()
 
 
-class PauliSum:
-    """Sum of Pauli strings, unique by (x_mask, z_mask)."""
+def mask_words(n_qubits: int) -> int:
+    """Number of 64-bit words that hold an ``n_qubits``-bit mask."""
+    return (n_qubits + 63) // 64
 
-    __slots__ = ("n_qubits", "_coeffs")
+
+def single_qubit_words(n_qubits: int) -> np.ndarray:
+    """``(n_qubits, W)`` uint64 words; row g is the mask of qubit g alone."""
+    g = np.arange(n_qubits)
+    out = np.zeros((n_qubits, mask_words(n_qubits)), dtype=np.uint64)
+    out[g, g >> 6] = np.left_shift(np.uint64(1), (g & 63).astype(np.uint64))
+    return out
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits per row of a word array, as int64."""
+    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+
+
+def _to_words(masks: list[int], n_words: int) -> np.ndarray:
+    """Python-int masks as a ``(len, n_words)`` uint64 array, low word first."""
+    return np.array([[(m >> (64 * k)) & _WORD for k in range(n_words)] for m in masks],
+                    dtype=np.uint64).reshape(len(masks), n_words)
+
+
+def _int_columns(n_qubits: int, keys: list[tuple[int, int]], coeffs: list):
+    """Canonical columns from (x_mask, z_mask) Python-int pairs."""
+    w = mask_words(n_qubits)
+    return _canonical(_to_words([x for x, _ in keys], w), _to_words([z for _, z in keys], w),
+                      np.array(coeffs, dtype=np.complex128))
+
+
+def _to_ints(words: np.ndarray) -> list[int]:
+    """Rows of a uint64 word array as Python-int masks."""
+    columns = [words[:, k].tolist() for k in range(words.shape[1])]
+    if len(columns) == 1:
+        return columns[0]
+    return [sum(w << (64 * k) for k, w in enumerate(row)) for row in zip(*columns)]
+
+
+def _canonical(x: np.ndarray, z: np.ndarray, c: np.ndarray):
+    """Sort rows by weight, then x, then z (as integers) and sum duplicates.
+
+    Rows that already ascend strictly are returned as they are after one
+    linear check.
+    """
+    if c.size < 2:
+        return x, z, c
+    weight = np.bitwise_count(x | z).sum(axis=1, dtype=np.int32)
+    keys = [weight, *x.T[::-1], *z.T[::-1]]  # most significant first
+    ahead = np.zeros(c.size - 1, dtype=bool)
+    tied = ~ahead
+    for key in keys:
+        ahead |= tied & (key[1:] > key[:-1])
+        tied &= key[1:] == key[:-1]
+    if ahead.all():
+        return x, z, c
+    order = np.lexsort(keys[::-1])  # lexsort's primary key is its last
+    x, z, c = x[order], z[order], c[order]
+    new = np.any(x[1:] != x[:-1], axis=1) | np.any(z[1:] != z[:-1], axis=1)
+    if not new.all():
+        starts = np.flatnonzero(np.concatenate(([True], new)))
+        x, z, c = x[starts], z[starts], np.add.reduceat(c, starts)
+    return x, z, c
+
+
+class PauliSum:
+    """Sum of Pauli strings as sorted columns (structure of arrays).
+
+    ``x_words`` and ``z_words`` are ``(len, W)`` uint64 arrays with
+    ``W = mask_words(n_qubits)``; word ``k`` carries qubits ``64k .. 64k+63``.
+    ``coeffs`` is complex128. Rows are unique by (x_mask, z_mask) and kept in
+    canonical order: by weight, then x_mask, then z_mask. Merging keeps exact
+    zeros; ``prune`` drops them.
+    """
+
+    __slots__ = ("n_qubits", "x_words", "z_words", "coeffs")
 
     def __init__(self, n_qubits: int,
                  coeffs: dict[tuple[int, int], complex] | None = None):
         if n_qubits < 1:
             raise ValueError("n_qubits must be positive")
+        keys = list(coeffs or {})
+        if any((x | z) >> n_qubits for x, z in keys):
+            raise ValueError("mask does not fit in n_qubits bits")
         self.n_qubits = n_qubits
-        self._coeffs: dict[tuple[int, int], complex] = dict(coeffs or {})
+        self.x_words, self.z_words, self.coeffs = _int_columns(
+            n_qubits, keys, [coeffs[k] for k in keys])
+
+    @classmethod
+    def _wrap(cls, n_qubits: int, x, z, c) -> "PauliSum":
+        """Adopt columns that are already canonical."""
+        out = cls.__new__(cls)
+        out.n_qubits, out.x_words, out.z_words, out.coeffs = n_qubits, x, z, c
+        return out
+
+    @classmethod
+    def from_arrays(cls, n_qubits: int, x, z, coeffs) -> "PauliSum":
+        """Sum from mask columns in any order; duplicates are added.
+
+        ``x`` and ``z`` are ``(len, W)`` word arrays, or 1-D integer arrays of
+        masks when ``n_qubits <= 64``.
+        """
+        if n_qubits < 1:
+            raise ValueError("n_qubits must be positive")
+        w = mask_words(n_qubits)
+        x, z = (np.asarray(a).astype(np.uint64, copy=False).reshape(-1, w) for a in (x, z))
+        c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
+        if not x.shape == z.shape == (c.size, w):
+            raise ValueError("mask and coefficient columns must align")
+        if n_qubits % 64 and c.size and ((x[:, -1] | z[:, -1]) >> (n_qubits % 64)).any():
+            raise ValueError("mask does not fit in n_qubits bits")
+        return cls._wrap(n_qubits, *_canonical(x, z, c))
 
     @classmethod
     def from_terms(cls, n_qubits: int, terms: Iterable[PauliTerm]) -> "PauliSum":
-        coeffs: dict[tuple[int, int], complex] = {}
-        for t in terms:
-            if t.n_qubits != n_qubits:
-                raise ValueError("term qubit count mismatch")
-            key = (t.x_mask, t.z_mask)
-            coeffs[key] = coeffs.get(key, 0.0) + t.coefficient
-        return cls(n_qubits, coeffs)
+        terms = list(terms)
+        if any(t.n_qubits != n_qubits for t in terms):
+            raise ValueError("term qubit count mismatch")
+        return cls._wrap(n_qubits, *_int_columns(
+            n_qubits, [(t.x_mask, t.z_mask) for t in terms], [t.coefficient for t in terms]))
+
+    def _key(self, i: int) -> tuple[int, int, int]:
+        x, z = _to_ints(self.x_words[i:i + 1])[0], _to_ints(self.z_words[i:i + 1])[0]
+        return (x | z).bit_count(), x, z
 
     def coefficient(self, x_mask: int, z_mask: int) -> complex:
-        return self._coeffs.get((x_mask, z_mask), 0.0)
-
-    def items(self):
-        """((x_mask, z_mask), coefficient) pairs in storage order, unsorted."""
-        return self._coeffs.items()
+        """Binary search in the canonical order; 0 for an absent string."""
+        target = ((x_mask | z_mask).bit_count(), x_mask, z_mask)
+        i = bisect_left(range(len(self)), target, key=self._key)
+        if i < len(self) and self._key(i) == target:
+            return complex(self.coeffs[i])
+        return 0.0
 
     def terms(self) -> list[PauliTerm]:
         """Terms in canonical order: by weight, then (x_mask, z_mask)."""
-        keys = sorted(self._coeffs, key=lambda k: ((k[0] | k[1]).bit_count(), k[0], k[1]))
-        return [PauliTerm(self.n_qubits, x, z, self._coeffs[(x, z)]) for x, z in keys]
+        return [PauliTerm(self.n_qubits, x, z, c) for x, z, c in
+                zip(_to_ints(self.x_words), _to_ints(self.z_words), self.coeffs.tolist())]
 
     def __len__(self) -> int:
-        return len(self._coeffs)
+        return int(self.coeffs.size)
 
     def __iter__(self) -> Iterator[PauliTerm]:
         return iter(self.terms())
@@ -136,27 +245,35 @@ class PauliSum:
     def __add__(self, other: "PauliSum") -> "PauliSum":
         if self.n_qubits != other.n_qubits:
             raise ValueError("qubit count mismatch")
-        coeffs = dict(self._coeffs)
-        for k, v in other._coeffs.items():
-            coeffs[k] = coeffs.get(k, 0.0) + v
-        return PauliSum(self.n_qubits, coeffs)
+        return PauliSum._wrap(self.n_qubits, *_canonical(
+            np.concatenate([self.x_words, other.x_words]),
+            np.concatenate([self.z_words, other.z_words]),
+            np.concatenate([self.coeffs, other.coeffs])))
 
     def __mul__(self, scalar) -> "PauliSum":
-        return PauliSum(self.n_qubits, {k: v * scalar for k, v in self._coeffs.items()})
+        return PauliSum._wrap(self.n_qubits, self.x_words, self.z_words, self.coeffs * scalar)
 
     __rmul__ = __mul__
 
     def max_abs_coeff(self) -> float:
-        return max((abs(v) for v in self._coeffs.values()), default=0.0)
+        return float(np.abs(self.coeffs).max(initial=0.0))
+
+    def _kept(self, rel_tol: float) -> np.ndarray:
+        mags = np.abs(self.coeffs)
+        return mags > rel_tol * mags.max(initial=0.0)
 
     def prune(self, rel_tol: float = RELATIVE_PRUNE_TOL) -> "PauliSum":
-        """Drop coefficients below rel_tol relative to the largest magnitude."""
-        cut = rel_tol * self.max_abs_coeff()
-        return PauliSum(self.n_qubits,
-                        {k: v for k, v in self._coeffs.items() if abs(v) > cut})
+        """Drop coefficients at or below rel_tol times the largest magnitude."""
+        keep = self._kept(rel_tol)
+        return PauliSum._wrap(self.n_qubits, self.x_words[keep], self.z_words[keep],
+                              self.coeffs[keep])
+
+    def dropped_l1(self, rel_tol: float = RELATIVE_PRUNE_TOL) -> float:
+        """Sum of |coefficient| over the strings ``prune(rel_tol)`` drops."""
+        return float(np.abs(self.coeffs[~self._kept(rel_tol)]).sum())
 
     def max_imag(self) -> float:
-        return max((abs(v.imag) for v in self._coeffs.values()), default=0.0)
+        return float(np.abs(self.coeffs.imag).max(initial=0.0))
 
     def __repr__(self) -> str:
         return f"PauliSum(n_qubits={self.n_qubits}, n_terms={len(self)})"
@@ -166,7 +283,7 @@ def count_strings(psum: PauliSum, tol: float = 0.0) -> int:
     """Number of strings with |coefficient| > tol (absolute)."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    return sum(1 for v in psum._coeffs.values() if abs(v) > tol)
+    return int(np.count_nonzero(np.abs(psum.coeffs) > tol))
 
 
 @dataclass
@@ -184,21 +301,37 @@ class StringCensus:
 
 def string_census(psum: PauliSum, tol: float = 0.0) -> StringCensus:
     """Histogram strings by length with per-length #Y and letter tallies, from mask
-    popcounts alone: length |x|z|, #Y |x&z|, #X length - |z|, #Z length - |x|."""
-    shapes = Counter(((x | z).bit_count(), (x & z).bit_count(), x.bit_count(), z.bit_count())
-                     for (x, z), v in psum.items() if abs(v) > tol)
+    popcounts alone: #Y |x&z|, #X |x| - #Y, #Z |z| - #Y, length #X + #Y + #Z.
+
+    The three popcounts of each string are packed into one integer and counted
+    with ``np.unique``, so the work per string is a few array passes."""
+    keep = np.abs(psum.coeffs) > tol
+    x, z = psum.x_words, psum.z_words
+    if not keep.all():
+        x, z = x[keep], z[keep]
+    base = psum.n_qubits + 1
+    packed = _popcount(x & z)
+    for words in (x, z):
+        packed *= base
+        packed += _popcount(words)
+    keys, counts = np.unique(packed, return_counts=True)
     census = StringCensus(0, {})
-    for (l, n_y, n_x_bits, n_z_bits), m in sorted(shapes.items()):
+    for key, m in zip(keys.tolist(), counts.tolist()):
+        rest, n_z_bits = divmod(key, base)
+        y, n_x_bits = divmod(rest, base)
+        tally = {"X": n_x_bits - y, "Y": y, "Z": n_z_bits - y}
+        l = sum(tally.values())
         census.total += m
         census.by_length[l] = census.by_length.get(l, 0) + m
-        census.y_counts.setdefault(l, Counter())[n_y] += m
-        tally = {"X": l - n_z_bits, "Y": n_y, "Z": l - n_x_bits}
+        census.y_counts.setdefault(l, Counter())[y] += m
         census.letters.setdefault(l, Counter()).update({ch: k * m for ch, k in tally.items() if k})
     return census
 
 
 # -- text serialization --------------------------------------------------------
 # One term per line: "<letters> <re> <im>", most-significant qubit leftmost.
+
+TEXT_QUBIT_LIMIT = 1 << 20  # largest n_qubits a pauli-sum header may declare
 
 def pauli_sum_to_text(psum: PauliSum) -> str:
     lines = [f"# pauli-sum n_qubits={psum.n_qubits} ordering=msb-left"]
@@ -216,7 +349,7 @@ def pauli_sum_from_text(text: str) -> PauliSum:
         header = dict(kv.split("=") for kv in lines[0].split()[2:])
         n_qubits = int(header.pop("n_qubits"))
         msb_first = {"msb-left": True, "lsb-left": False}[header.pop("ordering", "msb-left")]
-        if header or n_qubits < 1:
+        if header or not 1 <= n_qubits <= TEXT_QUBIT_LIMIT:
             raise ValueError
     except (KeyError, ValueError):
         raise ValueError(f"malformed pauli-sum header {lines[0]!r}") from None
@@ -227,9 +360,9 @@ def pauli_sum_from_text(text: str) -> PauliSum:
             coeff = complex(float(re_s), float(im_s))
             if len(label) != n_qubits or not cmath.isfinite(coeff):
                 raise ValueError
+            terms.append(PauliTerm.from_label(label, coeff, msb_first=msb_first))
         except ValueError:
             raise ValueError(f"malformed pauli-sum line {ln!r} for n_qubits={n_qubits}") from None
-        terms.append(PauliTerm.from_label(label, coeff, msb_first=msb_first))
     return PauliSum.from_terms(n_qubits, terms)
 
 

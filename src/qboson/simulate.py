@@ -15,8 +15,10 @@ import numpy as np
 
 from .circuits import Circuit, trotter_evolution
 from .errors import CapExceededError
-from .hamiltonian import HamiltonianSpec, kinetic_grid_diagonal, potential_grid_diagonal
-from .operators import fourier_kernel_multi
+from .hamiltonian import HamiltonianSpec, potential_grid_diagonal
+# fourier_kernel_multi is no longer called here but stays a module attribute,
+# since perfbench/tracing.py wraps it by this name
+from .operators import fourier_kernel, fourier_kernel_multi, momentum_values  # noqa: F401
 from .sparse import SparseOperator
 
 APPLY_QUBIT_CAP = 20
@@ -154,18 +156,27 @@ def assemble_hamiltonian_matrix(spec: HamiltonianSpec,
     """Dense H: potential diagonal on the coordinate grid plus F^dag K F.
 
     K is the momentum-grid diagonal of sum_a p_a**2 / 2 and F the centered
-    Fourier kernel on all bosons. Both grids are symmetric about 0 and K is
-    even in p, so F^dag K F is real; its imaginary part is rounding and is
+    Fourier kernel on all bosons. F is a Kronecker product of one kernel f
+    per boson and K a sum of one-boson terms, so F^dag K F is the sum over
+    bosons of f^dag (p**2/2) f embedded with identities on the other bosons,
+    as ``_embed_per_boson`` does. Both grids are symmetric about 0 and p**2
+    is even, so that kernel is real; its imaginary part is rounding and is
     dropped, which lets ``exact_propagator`` diagonalize in real arithmetic.
     Serves as the reference for Trotter and block-encoding verification.
     """
-    if spec.config.total_qubits > MATRIX_QUBIT_CAP:
+    cfg = spec.config
+    if cfg.total_qubits > MATRIX_QUBIT_CAP:
         raise CapExceededError(
             f"assemble_hamiltonian_matrix capped at {MATRIX_QUBIT_CAP} qubits")
     h = np.diag(potential_grid_diagonal(spec))
     if include_kinetic:
-        f = fourier_kernel_multi(spec.config)
-        h += (f.conj().T @ (kinetic_grid_diagonal(spec)[:, None] * f)).real
+        f = fourier_kernel(cfg.cutoff)
+        local = (f.conj().T @ (momentum_values(cfg)[:, None] ** 2 / 2.0 * f)).real
+        for a in range(cfg.bosons):
+            lo, hi = cfg.cutoff ** a, cfg.cutoff ** (cfg.bosons - 1 - a)
+            # boson a's row and column digits vary, the other bosons' stay equal
+            i, j = np.arange(hi)[:, None], np.arange(lo)[None, :]
+            h.reshape(hi, cfg.cutoff, lo, hi, cfg.cutoff, lo)[i, :, j, i, :, j] += local
     return h
 
 

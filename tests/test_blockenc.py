@@ -156,6 +156,18 @@ class TestSelect:
         u = build_select(plan, fourier=f).to_dense()
         assert np.abs(u - scipy.linalg.block_diag(*blocks)).max() <= 1e-12
 
+    def test_potential_branches_in_one_pass(self, monkeypatch):
+        # no SparseOperator per potential branch: the select is the only one
+        built = []
+        init = SparseOperator.__init__
+        monkeypatch.setattr(SparseOperator, "__init__",
+                            lambda op, *a, **k: (built.append(a[0]), init(op, *a, **k))[1])
+        rng = np.random.default_rng(3)
+        labels = random_labels(rng, 3, "IXYZ", 7)
+        plan = build_plan(sum_from_labels(3, zip(labels, rng.uniform(-2, 2, 7))))
+        u = build_select(plan)
+        assert built == [u.dim]
+
     def test_kinetic_needs_kernel(self):
         plan = build_plan(sum_from_labels(1, [("X", 1.0)]),
                           sum_from_labels(1, [("Z", 1.0)]))

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from qboson import expand_potential_zsum, load_hamiltonian_spec
 from qboson.cli import main
 
 ANHARMONIC = {
@@ -72,6 +73,29 @@ class TestCount:
         ns = [r["n_pauli"] for r in json.loads(out)["rows"]]
         assert ns == sorted(ns) and len(set(ns)) == len(ns)
         assert ns[0] == 9
+
+    def test_fock_counts_at_tol(self, spec_file, capsys):
+        # the butterfly already prunes at --tol, so pruning again drops nothing
+        path = spec_file(FOCK_DOUBLE_WELL)
+        for tol in ("1e-12", "0"):
+            code, out = run_cli(["count", path, "--q-max", "4", "--tol", tol], capsys)
+            lines = out.strip().splitlines()
+            assert lines[0] == ("Q,basis,n_pauli,n_nontrivial,raw_strings,census,"
+                                "n_pruned,dropped_l1")
+            for line in lines[1:]:
+                row = line.split(",")
+                assert row[6] == row[2] and row[7] == "0"
+
+    def test_coordinate_pruned_columns(self, spec_file, capsys):
+        path = spec_file({**ANHARMONIC, "qubits_per_boson": 14,
+                          "potential": [{"coeff": 1.0, "exponents": [4]}]})
+        code, out = run_cli(["count", path, "--tol", "1e-6", "--format", "json"], capsys)
+        row = json.loads(out)["rows"][0]
+        assert row["n_pauli"] == 1093 and row["n_pruned"] < 1093
+        psum = expand_potential_zsum(load_hamiltonian_spec(path))
+        kept = {(t.x_mask, t.z_mask) for t in psum.prune(1e-6)}
+        dropped = sum(abs(t.coefficient) for t in psum if (t.x_mask, t.z_mask) not in kept)
+        assert row["n_pruned"] == len(kept) and row["dropped_l1"] == pytest.approx(dropped, rel=1e-12)
 
     def test_malformed_spec_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

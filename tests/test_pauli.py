@@ -103,6 +103,65 @@ class TestPauliSum:
         assert weights == sorted(weights)
 
 
+@st.composite
+def coefficient_maps(draw, max_qubits=70):
+    n = draw(st.integers(1, max_qubits))
+    masks = st.integers(0, (1 << n) - 1)
+    keys = draw(st.lists(st.tuples(masks, masks), max_size=20))
+    values = draw(st.lists(st.sampled_from([0.0, 1.0, -2.5, 1j, 1e-13]), min_size=len(keys),
+                           max_size=len(keys)))
+    return n, list(zip(keys, values))
+
+
+class TestColumns:
+    @given(data=coefficient_maps())
+    @settings(max_examples=100, deadline=None)
+    def test_canonical_merge_and_lookup(self, data):
+        n, entries = data
+        merged: dict = {}
+        for key, v in entries:
+            merged[key] = merged.get(key, 0.0) + v
+        psum = PauliSum.from_terms(n, [PauliTerm(n, x, z, v) for (x, z), v in entries])
+        keys = [(t.x_mask, t.z_mask) for t in psum.terms()]
+        assert keys == sorted(merged, key=lambda k: ((k[0] | k[1]).bit_count(), *k))
+        assert psum.x_words.shape == psum.z_words.shape == (len(merged), (n + 63) // 64)
+        for (x, z), v in merged.items():  # duplicates may be added in another order
+            assert psum.coefficient(x, z) == pytest.approx(v, rel=1e-14, abs=1e-14)
+        assert psum.coefficient((1 << n) - 1, 0) == merged.get(((1 << n) - 1, 0), 0.0)
+
+    @given(a=coefficient_maps(8), b=coefficient_maps(8))
+    @settings(max_examples=60, deadline=None)
+    def test_add_matches_dict_merge(self, a, b):
+        n = max(a[0], b[0])
+        sums = [PauliSum(n, dict(entries)) for _, entries in (a, b)]
+        expected = dict(a[1])
+        for key, v in dict(b[1]).items():
+            expected[key] = expected.get(key, 0.0) + v
+        total = sums[0] + sums[1]
+        assert {(t.x_mask, t.z_mask): t.coefficient for t in total} == expected
+
+    def test_from_arrays_multiword(self):
+        # 66 qubits: masks straddle the word boundary; rows arrive out of order
+        words = np.array([[0, 3], [1 << 63, 0], [0, 3], [5, 0]], dtype=np.uint64)
+        psum = PauliSum.from_arrays(66, np.zeros_like(words), words, [1.0, 2.0, 0.5, 4.0])
+        assert [t.z_mask for t in psum] == [1 << 63, 5, 3 << 64]
+        assert psum.coefficient(0, 3 << 64) == 1.5
+        with pytest.raises(ValueError, match="fit"):
+            PauliSum.from_arrays(66, np.zeros_like(words), words << np.uint64(1), np.ones(4))
+        with pytest.raises(ValueError, match="align"):
+            PauliSum.from_arrays(66, words, words, np.ones(3))
+        with pytest.raises(ValueError, match="fit"):
+            PauliSum(3, {(0, 8): 1.0})
+
+    def test_prune_and_dropped_l1(self):
+        psum = PauliSum(2, {(0, 1): -2.0, (0, 2): 1e-13, (3, 3): -1e-12, (1, 0): 0.0})
+        kept = psum.prune(1e-12)
+        assert [(t.x_mask, t.z_mask) for t in kept] == [(0, 1)]
+        assert psum.dropped_l1(1e-12) == pytest.approx(1.1e-12)
+        assert psum.prune(0.0).dropped_l1(0.0) == 0.0 and len(psum.prune(0.0)) == 3
+        assert PauliSum(2).dropped_l1() == 0.0 and len(PauliSum(2).prune()) == 0
+
+
 class TestCensus:
     def test_single_z_histogram(self):
         q = 5

@@ -251,6 +251,20 @@ class TestHamiltonianAssembly:
         with pytest.raises(CapExceededError):
             assemble_hamiltonian_matrix(spec)
 
+    @pytest.mark.parametrize("bosons,qubits", [(b, q) for b in (1, 2) for q in range(1, 6)])
+    def test_per_boson_kinetic_matches_dense_product(self, bosons, qubits):
+        # the earlier assembly: one dense product F^dag (K F) over the register
+        from qboson import kinetic_grid_diagonal
+        potential = PolynomialPotential(bosons, (Monomial(1.0, {0: 2}),
+                                                 Monomial(-0.5, {bosons - 1: 4})))
+        spec = HamiltonianSpec(TruncationConfig(bosons, qubits, 1.3), potential)
+        f = fourier_kernel_multi(spec.config)
+        dense = (f.conj().T @ (kinetic_grid_diagonal(spec)[:, None] * f)).real
+        h = assemble_hamiltonian_matrix(spec)
+        assert h.dtype == np.float64
+        kinetic = h - assemble_hamiltonian_matrix(spec, include_kinetic=False)
+        assert np.abs(kinetic - dense).max() <= 1e-12 * np.abs(dense).max()
+
 
 class TestTrotterError:
     def test_kinetic_only_exact(self):
