@@ -129,7 +129,7 @@ def build_select(plan: LCUPlan, fourier: np.ndarray | None = None) -> SparseOper
     required when the plan has kinetic branches. The branches of each tag are
     formed in one pass from their mask columns: row r of string (x, z) holds
     i^{#Y} (-1)^{|(r ^ x) & z|} in column r ^ x, so P F is a row gather of F
-    and every kinetic block comes from one batched product.
+    and each kinetic block is one product.
     """
     if fourier is None and plan.count_tagged(KINETIC):
         raise ValueError("kinetic branches need the Fourier kernel; pass fourier=")
@@ -148,10 +148,11 @@ def build_select(plan: LCUPlan, fourier: np.ndarray | None = None) -> SparseOper
         vals = phase * (1.0 - 2.0 * (np.bitwise_count(src & z) & 1))
         if tag == POTENTIAL:
             entries.append((cols + offset, src + offset, vals))
-        elif branch:
-            blocks = fourier.conj().T @ (vals[:, :, None] * fourier[src])
-            b, r, c = np.nonzero(blocks)
-            entries.append((r + offset[b, 0], c + offset[b, 0], blocks[b, r, c]))
+        else:  # one dim_sys**2 block at a time bounds the working memory
+            for k in range(len(branch)):
+                block = fourier.conj().T @ (vals[k, :, None] * fourier[src[k]])
+                r, c = np.nonzero(block)
+                entries.append((r + offset[k], c + offset[k], block[r, c]))
     rows, cols, vals = (np.concatenate([e[j].ravel() for e in entries]) for j in range(3))
     return SparseOperator(dim_sys << plan.ancilla_count, rows, cols, vals)
 

@@ -242,7 +242,7 @@ def _zsum(config: TruncationConfig, step: float,
           monomials: list[tuple[float, tuple[int, ...]]]) -> PauliSum:
     """Z-strings of sum_m c_m prod_a x_a**d_a with x_a the Q-term Z-sum of
     grid spacing ``step``: exact support, exact zeros dropped."""
-    q, bosons, n = config.qubits_per_boson, config.bosons, config.total_qubits
+    q, n = config.qubits_per_boson, config.total_qubits
     # monomials with equal exponents share every string; math.fsum rounds their
     # exact sum once, so a group that cancels exactly leaves nothing behind
     groups: dict[tuple[int, ...], list[float]] = {}
@@ -263,8 +263,6 @@ def _zsum(config: TruncationConfig, step: float,
     z, coeff = _shape_blocks(q, n, alpha, groups, shapes)
     if not coeff.all():
         z, coeff = z[coeff != 0.0], coeff[coeff != 0.0]
-    if bosons == 1:  # one shape per weight, masks ascending in each: canonical
-        return PauliSum._wrap(n, np.zeros_like(z), z, coeff.astype(np.complex128))
     return PauliSum.from_arrays(n, np.zeros_like(z), z, coeff)
 
 

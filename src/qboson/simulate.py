@@ -158,11 +158,14 @@ def assemble_hamiltonian_matrix(spec: HamiltonianSpec,
     K is the momentum-grid diagonal of sum_a p_a**2 / 2 and F the centered
     Fourier kernel on all bosons. F is a Kronecker product of one kernel f
     per boson and K a sum of one-boson terms, so F^dag K F is the sum over
-    bosons of f^dag (p**2/2) f embedded with identities on the other bosons,
-    as ``_embed_per_boson`` does. Both grids are symmetric about 0 and p**2
-    is even, so that kernel is real; its imaginary part is rounding and is
-    dropped, which lets ``exact_propagator`` diagonalize in real arithmetic.
-    Serves as the reference for Trotter and block-encoding verification.
+    bosons of f^dag (p**2/2) f, Kronecker-embedded with identities on the
+    other bosons as ``hamiltonian._embed_per_boson`` embeds its sparse
+    kernels (a dense kernel is kept dense here: at 12 qubits on one boson
+    its coordinate list would take three times the memory). Both grids are
+    symmetric about 0 and p**2 is even, so that kernel is real; its
+    imaginary part is rounding and is dropped, which lets
+    ``exact_propagator`` diagonalize in real arithmetic. Serves as the
+    reference for Trotter and block-encoding verification.
     """
     cfg = spec.config
     if cfg.total_qubits > MATRIX_QUBIT_CAP:
@@ -173,10 +176,8 @@ def assemble_hamiltonian_matrix(spec: HamiltonianSpec,
         f = fourier_kernel(cfg.cutoff)
         local = (f.conj().T @ (momentum_values(cfg)[:, None] ** 2 / 2.0 * f)).real
         for a in range(cfg.bosons):
-            lo, hi = cfg.cutoff ** a, cfg.cutoff ** (cfg.bosons - 1 - a)
-            # boson a's row and column digits vary, the other bosons' stay equal
-            i, j = np.arange(hi)[:, None], np.arange(lo)[None, :]
-            h.reshape(hi, cfg.cutoff, lo, hi, cfg.cutoff, lo)[i, :, j, i, :, j] += local
+            h += np.kron(np.eye(cfg.cutoff ** (cfg.bosons - 1 - a)),
+                         np.kron(local, np.eye(cfg.cutoff ** a)))
     return h
 
 
