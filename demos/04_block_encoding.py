@@ -28,12 +28,15 @@ spec = HamiltonianSpec(TruncationConfig(bosons=1, qubits_per_boson=3, radius=2.0
 encoding = block_encode(spec)
 plan = encoding.plan
 print("\nanharmonic oscillator H = p^2/2 + x^2 + x^4 at Q = 3:")
-print(f"  {plan.n_terms} terms "
-      f"({plan.count_tagged('potential')} potential + {plan.count_tagged('kinetic')} kinetic), "
+print(f"  {plan.n_terms} terms ({plan.n_potential} potential + {plan.n_kinetic} kinetic), "
       f"{plan.ancilla_count} ancillas, lambda = {plan.lam:.6f}")
+# the plan is columns: mask words (one word up to 64 qubits) and signed coefficients
 print("  term list (sign, |coeff|, tag):")
-for (term, tag), sign in zip(plan.terms, plan.signs):
-    print(f"    {sign:+d}  {abs(term.coefficient):10.6f}  {term.label()}  [{tag}]")
+columns = (plan.x_words[:, 0].tolist(), plan.z_words[:, 0].tolist(), plan.coeffs.tolist())
+for i, (x, z, c) in enumerate(zip(*columns)):
+    label = PauliTerm(plan.n_system_qubits, x, z).label()
+    tag = "potential" if i < plan.n_potential else "kinetic"
+    print(f"    {int(np.sign(c)):+d}  {abs(c):10.6f}  {label}  [{tag}]")
 
 h = assemble_hamiltonian_matrix(spec)
 err = verify_block_encoding(encoding, h)

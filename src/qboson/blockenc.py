@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CapExceededError
 from .hamiltonian import HamiltonianSpec, expand_potential_zsum, kinetic_zsum
 from .operators import fourier_kernel_multi
-from .pauli import I_POWERS, PauliSum, PauliTerm
+from .pauli import PauliSum, mask_words, string_entries
 from .sparse import SparseOperator
 
 VERIFY_QUBIT_CAP = 14
@@ -28,31 +28,41 @@ KINETIC = "kinetic"
 
 @dataclass(frozen=True)
 class LCUPlan:
-    """Flattened, tagged term list with prepare amplitudes.
+    """String columns in select's branch order, with prepare amplitudes.
 
-    Potential terms come first, kinetic terms second. Signs of negative
-    coefficients are folded into the select branches so the amplitudes stay
-    real and nonnegative.
+    ``x_words`` and ``z_words`` are the ``(N, W)`` uint64 mask words of the N
+    strings (as in ``PauliSum``): the ``n_potential`` potential strings first,
+    then the kinetic ones. ``coeffs`` holds their real, nonzero coefficients;
+    select folds each sign into its branch, so the amplitudes stay real and
+    nonnegative.
     """
 
     n_system_qubits: int
-    terms: tuple[tuple[PauliTerm, str], ...]  # (bare-ish term with |coeff|, tag)
-    signs: tuple[int, ...]
+    x_words: np.ndarray
+    z_words: np.ndarray
+    coeffs: np.ndarray
+    n_potential: int
 
     def __post_init__(self):
-        if not self.terms:
+        if not self.coeffs.size:
             raise ValueError("cannot block-encode an empty Hamiltonian")
-        if len(self.signs) != len(self.terms):
-            raise ValueError("signs and terms must align")
+        shape = (self.coeffs.size, mask_words(self.n_system_qubits))
+        if not (self.x_words.shape == self.z_words.shape == shape
+                and 0 <= self.n_potential <= self.coeffs.size):
+            raise ValueError("mask and coefficient columns must align")
 
     @property
     def n_terms(self) -> int:
-        return len(self.terms)
+        return int(self.coeffs.size)
+
+    @property
+    def n_kinetic(self) -> int:
+        return self.n_terms - self.n_potential
 
     @property
     def lam(self) -> float:
-        """lambda = sum of |coefficients| over both subspaces."""
-        return float(sum(abs(t.coefficient) for t, _ in self.terms))
+        """lambda = sum of |coefficients| over both subspaces, added in plan order."""
+        return float(sum(np.abs(self.coeffs).tolist()))
 
     @property
     def ancilla_count(self) -> int:
@@ -61,40 +71,30 @@ class LCUPlan:
     @property
     def amplitudes(self) -> np.ndarray:
         """g_i = sqrt(|a_i| / lambda), one per term (unpadded)."""
-        lam = self.lam
-        return np.sqrt(np.array([abs(t.coefficient) for t, _ in self.terms]) / lam)
+        return np.sqrt(np.abs(self.coeffs) / self.lam)
 
     def padded_amplitudes(self) -> np.ndarray:
         g = np.zeros(1 << self.ancilla_count)
         g[: self.n_terms] = self.amplitudes
         return g
 
-    def count_tagged(self, tag: str) -> int:
-        return sum(1 for _, t in self.terms if t == tag)
 
-
-def _flatten(psum: PauliSum, tag: str, out_terms: list, out_signs: list) -> None:
-    scale = psum.max_abs_coeff()
-    if psum.max_imag() > 1e-10 * max(scale, 1.0):
+def _real_columns(psum: PauliSum):
+    """Mask words and real parts of the strings with a nonzero real coefficient."""
+    if psum.max_imag() > 1e-10 * max(psum.max_abs_coeff(), 1.0):
         raise ValueError("block encoding needs real string coefficients (Hermitian H)")
-    for term in psum.terms():
-        c = term.coefficient.real
-        if c == 0.0:
-            continue
-        out_terms.append((PauliTerm(term.n_qubits, term.x_mask, term.z_mask, abs(c)), tag))
-        out_signs.append(1 if c > 0 else -1)
+    keep = psum.coeffs.real != 0.0
+    return psum.x_words[keep], psum.z_words[keep], psum.coeffs.real[keep]
 
 
 def build_plan(potential_sum: PauliSum, kinetic_sum: PauliSum | None = None) -> LCUPlan:
-    """Flatten potential-first/kinetic-second term lists into an LCU plan."""
-    terms: list[tuple[PauliTerm, str]] = []
-    signs: list[int] = []
-    _flatten(potential_sum, POTENTIAL, terms, signs)
-    if kinetic_sum is not None:
-        if kinetic_sum.n_qubits != potential_sum.n_qubits:
-            raise ValueError("potential and kinetic sums live on different registers")
-        _flatten(kinetic_sum, KINETIC, terms, signs)
-    return LCUPlan(potential_sum.n_qubits, tuple(terms), tuple(signs))
+    """Potential strings first, kinetic strings second, as one LCU plan."""
+    sums = [potential_sum] if kinetic_sum is None else [potential_sum, kinetic_sum]
+    if sums[-1].n_qubits != potential_sum.n_qubits:
+        raise ValueError("potential and kinetic sums live on different registers")
+    parts = [_real_columns(psum) for psum in sums]
+    return LCUPlan(potential_sum.n_qubits, *(np.concatenate(col) for col in zip(*parts)),
+                   n_potential=parts[0][2].size)
 
 
 def plan_from_spec(spec: HamiltonianSpec) -> LCUPlan:
@@ -123,36 +123,30 @@ def prepare_G(plan: LCUPlan) -> np.ndarray:
 def build_select(plan: LCUPlan, fourier: np.ndarray | None = None) -> SparseOperator:
     """Block-diagonal select unitary on ancilla (x) system.
 
-    Ancilla branch i applies sign_i * string_i for potential tags,
-    F^dag (sign_i * string_i) F for kinetic tags, and the identity on unused
-    branches. ``fourier`` is the centered kernel over all bosons; it is
-    required when the plan has kinetic branches. The branches of each tag are
-    formed in one pass from their mask columns: row r of string (x, z) holds
-    i^{#Y} (-1)^{|(r ^ x) & z|} in column r ^ x, so P F is a row gather of F
-    and each kinetic block is one product.
+    Ancilla branch i applies sign_i * string_i for potential strings,
+    F^dag (sign_i * string_i) F for kinetic strings, and the identity on
+    unused branches. ``fourier`` is the centered kernel over all bosons; it is
+    required when the plan has kinetic branches. The strings' entries come
+    from the plan's mask columns in one pass (``string_entries``), so P F is
+    a row gather of F. Branches are emitted in ancilla order and each in
+    (row, col) order, so the select's entries arrive sorted.
     """
-    if fourier is None and plan.count_tagged(KINETIC):
+    if fourier is None and plan.n_kinetic:
         raise ValueError("kinetic branches need the Fourier kernel; pass fourier=")
     dim_sys = 1 << plan.n_system_qubits
-    cols = np.arange(dim_sys)
-    unused = np.arange(plan.n_terms, 1 << plan.ancilla_count)[:, None] * dim_sys
-    entries = [(cols + unused, cols + unused, np.ones((len(unused), dim_sys)))]
-    for tag in (POTENTIAL, KINETIC):
-        branch = [i for i, (_, t) in enumerate(plan.terms) if t == tag]
-        x = np.array([plan.terms[i][0].x_mask for i in branch], dtype=np.int64)[:, None]
-        z = np.array([plan.terms[i][0].z_mask for i in branch], dtype=np.int64)[:, None]
-        offset = np.array(branch, dtype=np.int64)[:, None] * dim_sys
-        phase = (np.array([plan.signs[i] for i in branch])[:, None]
-                 * I_POWERS[np.bitwise_count(x & z) % 4])
-        src = cols ^ x  # row r of each signed string holds vals[r] in column src[r]
-        vals = phase * (1.0 - 2.0 * (np.bitwise_count(src & z) & 1))
-        if tag == POTENTIAL:
-            entries.append((cols + offset, src + offset, vals))
-        else:  # one dim_sys**2 block at a time bounds the working memory
-            for k in range(len(branch)):
-                block = fourier.conj().T @ (vals[k, :, None] * fourier[src[k]])
-                r, c = np.nonzero(block)
-                entries.append((r + offset[k], c + offset[k], block[r, c]))
+    rows = np.arange(dim_sys)
+    # a select is only built for registers far below 64 qubits: one mask word
+    x, z = (w[:, :1].astype(np.int64) for w in (plan.x_words, plan.z_words))
+    src, vals = string_entries(x, z, rows, np.sign(plan.coeffs)[:, None])
+    offset = np.arange(1 << plan.ancilla_count)[:, None] * dim_sys
+    pot = slice(plan.n_potential)
+    entries = [(rows + offset[pot], src[pot] + offset[pot], vals[pot])]
+    for k in range(plan.n_potential, plan.n_terms):  # one dim_sys**2 block at a time
+        block = fourier.conj().T @ (vals[k, :, None] * fourier[src[k]])
+        r, c = np.nonzero(block)
+        entries.append((r + offset[k], c + offset[k], block[r, c]))
+    unused = offset[plan.n_terms:]
+    entries.append((rows + unused, rows + unused, np.ones((len(unused), dim_sys))))
     rows, cols, vals = (np.concatenate([e[j].ravel() for e in entries]) for j in range(3))
     return SparseOperator(dim_sys << plan.ancilla_count, rows, cols, vals)
 

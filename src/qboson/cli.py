@@ -9,12 +9,14 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import re
 import sys
 
-from .blockenc import KINETIC, POTENTIAL, block_encode, verify_block_encoding
+from .blockenc import (KINETIC, POTENTIAL, block_encode, plan_from_spec,
+                       verify_block_encoding)
 from .circuits import trotter_evolution, write_circuit
 from .decompose import decompose_tensorized
 from .errors import CapExceededError, SpecFileError, VerificationError
@@ -189,21 +191,20 @@ def cmd_trotter(args) -> int:
 
 
 def cmd_blockenc(args) -> int:
-    """Report lambda / term counts / ancillas; optionally verify the encoding."""
+    """Report lambda / term counts / ancillas from the plan; --verify builds and checks U."""
     spec = load_hamiltonian_spec(args.spec)
-    encoding = block_encode(spec)
-    plan = encoding.plan
+    encoding = block_encode(spec) if args.verify else None  # only verify is capped
+    plan = encoding.plan if encoding else plan_from_spec(spec)
     doc = {
         "spec": args.spec,
         "lambda": plan.lam,
         "n_terms": plan.n_terms,
         "ancilla_count": plan.ancilla_count,
         "system_qubits": plan.n_system_qubits,
-        "terms_potential": plan.count_tagged(POTENTIAL),
-        "terms_kinetic": plan.count_tagged(KINETIC),
+        "terms_potential": plan.n_potential,
+        "terms_kinetic": plan.n_kinetic,
         # select cost is dominated by the potential branch count
-        "dominant_subspace": POTENTIAL
-        if plan.count_tagged(POTENTIAL) >= plan.count_tagged(KINETIC) else KINETIC,
+        "dominant_subspace": POTENTIAL if plan.n_potential >= plan.n_kinetic else KINETIC,
     }
     if args.verify:
         err = verify_block_encoding(encoding, assemble_hamiltonian_matrix(spec))
@@ -247,6 +248,7 @@ def _add_common(p: argparse.ArgumentParser, tol_default, tol_help: str) -> None:
     p.add_argument("--tol", type=_tolerance, default=tol_default, help=tol_help)
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qboson",

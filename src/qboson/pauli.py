@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .sparse import SparseOperator
+from .sparse import SparseOperator, merge_rows
 
 # coefficients below RELATIVE_PRUNE_TOL * max|coeff| are dropped when pruning
 RELATIVE_PRUNE_TOL = 1e-12
@@ -86,16 +86,23 @@ class PauliTerm:
 
     def string_matrix(self) -> SparseOperator:
         """Matrix of the bare string (unit coefficient), with exact Y phases."""
-        dim = 1 << self.n_qubits
-        cols = np.arange(dim)
-        rows = cols ^ self.x_mask
-        # P = i^{#Y} X^x Z^z and (X^x Z^z)|c> = (-1)^{popcount(z & c)} |c ^ x>
-        signs = 1.0 - 2.0 * (np.bitwise_count(cols & self.z_mask) & 1)
-        phase = 1j ** (self.n_y % 4)
-        return SparseOperator(dim, rows, cols, phase * signs)
+        rows = np.arange(1 << self.n_qubits)
+        return SparseOperator(rows.size, rows, *string_entries(self.x_mask, self.z_mask, rows))
 
     def matrix(self) -> SparseOperator:
         return self.coefficient * self.string_matrix()
+
+
+def string_entries(x_mask, z_mask, rows, coeff=1.0):
+    """Column and value of the one entry in each of ``rows`` of coeff * (x, z).
+
+    P = i^{#Y} X^x Z^z and X^x Z^z |c> = (-1)^{|c & z|} |c ^ x>, so row r holds
+    coeff i^{#Y} (-1)^{|(r ^ x) & z|} in column r ^ x. Masks, coefficients and
+    rows broadcast against each other.
+    """
+    cols = rows ^ x_mask
+    phase = coeff * I_POWERS[np.bitwise_count(x_mask & z_mask) % 4]
+    return cols, phase * (1.0 - 2.0 * (np.bitwise_count(cols & z_mask) & 1))
 
 
 def mask_words(n_qubits: int) -> int:
@@ -138,29 +145,10 @@ def _to_ints(words: np.ndarray) -> list[int]:
 
 
 def _canonical(x: np.ndarray, z: np.ndarray, c: np.ndarray):
-    """Sort rows by weight, then x, then z (as integers) and sum duplicates.
-
-    Rows that already ascend strictly are returned as they are after one
-    linear check.
-    """
-    if c.size < 2:
-        return x, z, c
+    """Sort rows by weight, then x, then z (as integers) and sum duplicates."""
     weight = np.bitwise_count(x | z).sum(axis=1, dtype=np.int32)
-    keys = [weight, *x.T[::-1], *z.T[::-1]]  # most significant first
-    ahead = np.zeros(c.size - 1, dtype=bool)
-    tied = ~ahead
-    for key in keys:
-        ahead |= tied & (key[1:] > key[:-1])
-        tied &= key[1:] == key[:-1]
-    if ahead.all():
-        return x, z, c
-    order = np.lexsort(keys[::-1])  # lexsort's primary key is its last
-    x, z, c = x[order], z[order], c[order]
-    new = np.any(x[1:] != x[:-1], axis=1) | np.any(z[1:] != z[:-1], axis=1)
-    if not new.all():
-        starts = np.flatnonzero(np.concatenate(([True], new)))
-        x, z, c = x[starts], z[starts], np.add.reduceat(c, starts)
-    return x, z, c
+    take, c = merge_rows([weight, *x.T[::-1], *z.T[::-1]], c)  # most significant first
+    return x[take], z[take], c
 
 
 class PauliSum:

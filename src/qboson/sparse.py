@@ -1,7 +1,8 @@
 """Coordinate-list complex matrices used for operators, oracles, and verification.
 
 Entries are kept canonical: sorted by (row, col), duplicates summed, and
-magnitudes below ``ZERO_TOL`` (absolute) dropped.
+magnitudes at or below ``ZERO_TOL`` (absolute) dropped. ``merge_rows`` is
+the one sort-and-merge kernel; ``PauliSum`` orders its strings with it too.
 """
 from __future__ import annotations
 
@@ -33,7 +34,9 @@ class SparseOperator:
         if rows.size and (rows.min() < 0 or rows.max() >= dim
                           or cols.min() < 0 or cols.max() >= dim):
             raise ValueError("entry index out of range")
-        self.rows, self.cols, self.vals = _canonicalize(dim, rows, cols, vals)
+        take, vals = merge_rows([rows * dim + cols], vals)
+        keep = np.abs(vals) > ZERO_TOL
+        self.rows, self.cols, self.vals = rows[take][keep], cols[take][keep], vals[keep]
 
     # -- constructors ------------------------------------------------------
 
@@ -143,17 +146,29 @@ class SparseOperator:
         return f"SparseOperator(dim={self.dim}, nnz={self.nnz})"
 
 
-def _canonicalize(dim, rows, cols, vals):
-    """Sort by (row, col), merge duplicates, prune near-zero entries."""
-    if rows.size == 0:
-        return rows, cols, vals
-    # np.unique sorts; np.add.at sums each key's duplicates in their input order
-    uniq, inverse = np.unique(rows * dim + cols, return_inverse=True)
-    merged = np.zeros(uniq.size, dtype=np.complex128)
-    np.add.at(merged, inverse, vals)
-    keep = np.abs(merged) > ZERO_TOL
-    uniq, merged = uniq[keep], merged[keep]
-    return uniq // dim, uniq % dim, merged
+def merge_rows(keys: list[np.ndarray], vals: np.ndarray):
+    """Order rows by ``keys`` (aligned 1-D arrays, most significant first) and
+    add the values of equal rows. Returns ``(take, merged)``: ``take`` indexes
+    each distinct key's first row in ascending key order, ``merged`` its sum
+    (``a + b`` for a pair; ``np.add.reduceat`` may regroup longer runs). Rows
+    that already ascend strictly skip the sort: ``take`` is ``slice(None)``.
+    """
+    if vals.size < 2:
+        return slice(None), vals
+    ahead = np.zeros(vals.size - 1, dtype=bool)
+    tied = ~ahead
+    for key in keys:
+        ahead |= tied & (key[1:] > key[:-1])
+        tied &= key[1:] == key[:-1]
+    if ahead.all():
+        return slice(None), vals
+    order = np.lexsort(keys[::-1])  # lexsort's primary key is its last
+    new = np.zeros(vals.size - 1, dtype=bool)
+    for key in keys:
+        key = key[order]
+        new |= key[1:] != key[:-1]
+    starts = np.flatnonzero(np.concatenate(([True], new)))
+    return order[starts], np.add.reduceat(vals[order], starts)
 
 
 def is_power_of_two(n: int) -> bool:

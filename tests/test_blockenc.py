@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qboson import (HamiltonianSpec, PauliSum, PolynomialPotential,
+from qboson import (HamiltonianSpec, Monomial, PauliSum, PauliTerm, PolynomialPotential,
                     TruncationConfig, assemble_hamiltonian_matrix, block_encode,
                     build_plan, build_select, plan_from_spec, prepare_G,
                     verify_block_encoding)
-from qboson.blockenc import KINETIC, POTENTIAL, BlockEncoding
+from qboson.blockenc import BlockEncoding
+from qboson.operators import fourier_kernel_multi
 from qboson.sparse import SparseOperator
 
 
 def sum_from_labels(n, entries):
-    from qboson import PauliTerm
     return PauliSum.from_terms(n, [PauliTerm.from_label(l, c) for l, c in entries])
 
 
@@ -52,13 +52,16 @@ class TestBuildPlan:
     def test_signs_folded(self):
         plan = build_plan(sum_from_labels(1, [("X", -1.0), ("Z", 3.0)]))
         # canonical term order puts Z (x_mask 0) before X (x_mask 1)
-        assert plan.signs == (1, -1)
-        assert all(t.coefficient.real > 0 for t, _ in plan.terms)
+        assert plan.coeffs.dtype == np.float64
+        assert np.sign(plan.coeffs).tolist() == [1, -1]
+        assert np.all(plan.amplitudes > 0)
 
     def test_potential_before_kinetic(self):
         plan = build_plan(sum_from_labels(1, [("X", 1.0)]),
                           sum_from_labels(1, [("Z", 1.0)]))
-        assert [tag for _, tag in plan.terms] == [POTENTIAL, KINETIC]
+        assert (plan.n_potential, plan.n_kinetic) == (1, 1)
+        assert plan.x_words[:, 0].tolist() == [1, 0]  # X, the potential string, first
+        assert plan.z_words[:, 0].tolist() == [0, 1]
 
     def test_harmonic_lambda_matches_sums(self):
         spec = HamiltonianSpec(TruncationConfig(1, 2, 2.0),
@@ -149,12 +152,29 @@ class TestSelect:
                           sum_from_labels(n, kin.items()) if kin else None)
         f = fourier_kernel(1 << n)
         blocks = []
-        for (term, tag), sign in zip(plan.terms, plan.signs):
-            p = sign * label_matrix(term.label())
-            blocks.append(f.conj().T @ p @ f if tag == KINETIC else p)
+        columns = (plan.x_words[:, 0].tolist(), plan.z_words[:, 0].tolist(), plan.coeffs.tolist())
+        for i, (x, z, c) in enumerate(zip(*columns)):
+            p = np.sign(c) * label_matrix(PauliTerm(n, x, z).label())
+            blocks.append(f.conj().T @ p @ f if i >= plan.n_potential else p)
         blocks += [np.eye(1 << n)] * ((1 << plan.ancilla_count) - plan.n_terms)
         u = build_select(plan, fourier=f).to_dense()
         assert np.abs(u - scipy.linalg.block_diag(*blocks)).max() <= 1e-12
+
+    @pytest.mark.parametrize("bosons,qubits,monomials", [
+        (1, 4, [(1.0, {0: 4})]),
+        (1, 5, [(0.5, {0: 2}), (-0.1, {0: 4})]),  # negative coefficients fold into branches
+        (2, 2, [(0.5, {0: 2}), (0.5, {1: 2}), (0.25, {0: 2, 1: 2})]),
+    ])
+    def test_entries_arrive_sorted(self, bosons, qubits, monomials, monkeypatch):
+        # branches in ancilla order, each in (row, col) order: the constructor never sorts
+        potential = PolynomialPotential(bosons, [Monomial(c, e) for c, e in monomials])
+        spec = HamiltonianSpec(TruncationConfig(bosons, qubits, 2.0), potential)
+        plan = plan_from_spec(spec)
+        assert plan.n_terms < 1 << plan.ancilla_count  # unused branches come last
+        fourier = fourier_kernel_multi(spec.config)
+        monkeypatch.setattr(np, "lexsort", lambda *a, **k: pytest.fail("select entries sorted"))
+        u = build_select(plan, fourier=fourier)
+        assert u.dim == (1 << plan.ancilla_count) << plan.n_system_qubits
 
     def test_potential_branches_in_one_pass(self, monkeypatch):
         # no SparseOperator per potential branch: the select is the only one

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from qboson import expand_potential_zsum, load_hamiltonian_spec
-from qboson.cli import main
+from qboson.cli import build_parser, main
 
 ANHARMONIC = {
     "bosons": 1, "qubits_per_boson": 3, "radius": 2.0,
@@ -286,6 +286,30 @@ class TestBlockenc:
         path = spec_file(ANHARMONIC)
         assert main(["blockenc", path, "--verify", "--tol", "1e-18"]) == 4
 
+    def test_report_builds_no_select(self, spec_file, capsys):
+        # B=2 Q=5: 10 system qubits and 8 ancillas, past the cap that only --verify needs
+        path = spec_file(dict(ANHARMONIC, bosons=2, qubits_per_boson=5, potential=[
+            {"coeff": 1.0, "exponents": [2, 0]}, {"coeff": 1.0, "exponents": [0, 2]},
+            {"coeff": 0.5, "exponents": [2, 2]}, {"coeff": 1.0, "exponents": [4, 0]}]))
+        code, out = run_cli(["blockenc", path, "--format", "json"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert [doc[k] for k in ("n_terms", "ancilla_count", "system_qubits",
+                                 "terms_potential", "terms_kinetic")] == [147, 8, 10, 126, 21]
+        assert main(["blockenc", path, "--verify"]) == 3
+        assert "capped at 14 total qubits" in capsys.readouterr().err
+
+    def test_report_past_64_qubits(self, spec_file, capsys):
+        # x_a**4 on each of 3 bosons at Q=22: 66 system qubits, two mask words per string
+        path = spec_file(dict(ANHARMONIC, bosons=3, qubits_per_boson=22, potential=[
+            {"coeff": 1.0, "exponents": [4 * (b == a) for b in range(3)]} for a in range(3)]))
+        code, out = run_cli(["blockenc", path, "--format", "json"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert [doc[k] for k in ("n_terms", "ancilla_count", "system_qubits", "terms_potential",
+                                 "terms_kinetic")] == [23333, 15, 66, 22639, 694]
+        assert doc["lambda"] == 16277609439096.596  # the sum in plan order, bit for bit
+
 
 class TestEntryPoint:
     def test_module_invocation(self):
@@ -293,6 +317,14 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1].startswith("1,2,1,1,1,True")
+
+    def test_parser_built_once(self, capsys):
+        assert build_parser() is build_parser()
+        for _ in range(2):  # a usage error leaves the shared parser as it was
+            with pytest.raises(SystemExit) as exc:
+                main(["trotter"])
+            assert exc.value.code == 2
+            assert main(["table1", "--q-max", "1"]) == 0
 
     def test_usage_error_exit_2(self):
         proc = subprocess.run([sys.executable, "-m", "qboson.cli", "trotter"],
