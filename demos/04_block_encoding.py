@@ -3,19 +3,21 @@
 The Hamiltonian is a weighted sum of Pauli strings: potential strings act
 directly, kinetic strings act conjugated by the centered Fourier kernel.
 A prepare unitary loads g_i = sqrt(|a_i|/lambda) on the ancillas; the select
-unitary applies term i on ancilla branch |i>.
+unitary applies term i on ancilla branch |i>. The verification reads the
+block off the branches, sum_i g_i^2 s_i U_i; the select operator is built
+only where it is read (here, for its unitarity).
 """
 import numpy as np
 
 from qboson import (HamiltonianSpec, PauliSum, PauliTerm, PolynomialPotential,
                     TruncationConfig, assemble_hamiltonian_matrix, block_encode,
                     verify_block_encoding)
-from qboson.blockenc import BlockEncoding, build_plan, build_select, prepare_G
+from qboson.blockenc import BlockEncoding, build_plan, prepare_G
 
 # toy case first: H = X + Z on one qubit, lambda = 2, one ancilla
 toy = build_plan(PauliSum.from_terms(1, [PauliTerm.from_label("X", 1.0),
                                          PauliTerm.from_label("Z", 1.0)]))
-enc = BlockEncoding(toy, prepare_G(toy), build_select(toy))
+enc = BlockEncoding(toy, prepare_G(toy))  # verify reads the branches: no select is built
 h_toy = np.array([[1.0, 1.0], [1.0, -1.0]])
 print("toy H = X + Z:")
 print(f"  lambda = {toy.lam}, ancillas = {toy.ancilla_count}, "

@@ -153,11 +153,16 @@ def build_select(plan: LCUPlan, fourier: np.ndarray | None = None) -> SparseOper
 
 @dataclass
 class BlockEncoding:
-    """Prepared |G> data plus the select unitary on ancilla (x) system."""
+    """The plan, its prepare unitary and the Fourier kernel that kinetic
+    branches are conjugated by (None for a plan without kinetic strings).
+
+    The select unitary on ancilla (x) system is built on first access only:
+    the verification reads the block from the plan's branches instead.
+    """
 
     plan: LCUPlan
     prepare: np.ndarray
-    select: SparseOperator
+    fourier: np.ndarray | None = None
 
     @property
     def n_system_qubits(self) -> int:
@@ -171,8 +176,12 @@ class BlockEncoding:
     def g_state(self) -> np.ndarray:
         return self.prepare[:, 0]
 
+    @cached_property
+    def select(self) -> SparseOperator:
+        return build_select(self.plan, self.fourier)
+
     def encoded_block(self) -> np.ndarray:
-        """(<G| x I) U (|G> x I) as a dense system-size matrix.
+        """(<G| x I) U (|G> x I) as a dense system-size matrix, from select.
 
         Entry (r, c) of select on ancilla rows a = r // d and columns
         b = c // d adds conj(g_a) g_b U[r, c] at (r % d, c % d). Every stored
@@ -186,23 +195,57 @@ class BlockEncoding:
         np.add.at(out, (r, c), np.conj(g[a]) * g[b] * self.select.vals)
         return out
 
+    def branch_block(self) -> np.ndarray:
+        """(<G| x I) U (|G> x I) = sum_i |g_i|^2 U_i, from the plan's branches.
+
+        U_i is sign_i * string_i on a potential branch, F^dag (sign_i *
+        string_i) F on a kinetic one and the identity on an unused one. The
+        weights are the prepared column, so prepare is checked as well. All
+        potential branches are one scatter of their weighted strings; the
+        kinetic ones are one scatter into M and one product F^dag (M F).
+        Nothing of ancilla size is formed.
+        """
+        plan = self.plan
+        if self.fourier is None and plan.n_kinetic:
+            raise ValueError("kinetic branches need the Fourier kernel; pass fourier=")
+        dim_sys = 1 << plan.n_system_qubits
+        weights = (np.conj(self.g_state) * self.g_state).real
+        signed = weights[:plan.n_terms] * np.sign(plan.coeffs)
+        out = _weighted_strings(plan, slice(plan.n_potential), signed, dim_sys)
+        if plan.n_kinetic:
+            kin = _weighted_strings(plan, slice(plan.n_potential, None), signed, dim_sys)
+            out += self.fourier.conj().T @ (kin @ self.fourier)
+        out[np.diag_indices(dim_sys)] += weights[plan.n_terms:].sum()
+        return out
+
+
+def _weighted_strings(plan: LCUPlan, part: slice, coeffs: np.ndarray, dim_sys: int):
+    """sum_i coeffs_i * string_i over the plan rows in ``part``, dense."""
+    rows = np.arange(dim_sys)
+    # verification only reaches registers far below 64 qubits: one mask word
+    x, z = (w[part, :1].astype(np.int64) for w in (plan.x_words, plan.z_words))
+    cols, vals = string_entries(x, z, rows, coeffs[part, None])
+    flat, size = (rows * dim_sys + cols).ravel(), dim_sys * dim_sys
+    out = np.bincount(flat, vals.real.ravel(), size) + 1j * np.bincount(
+        flat, vals.imag.ravel(), size)  # each sum in input order, branch by branch
+    return out.reshape(dim_sys, dim_sys)
+
 
 def block_encode(spec: HamiltonianSpec) -> BlockEncoding:
-    """Full pipeline: expand the Hamiltonian, plan, prepare, and select."""
+    """Expand the Hamiltonian, plan and prepare; select is built on demand."""
     plan = plan_from_spec(spec)
     if plan.ancilla_count + plan.n_system_qubits > VERIFY_QUBIT_CAP:
         raise CapExceededError(
             f"block encoding capped at {VERIFY_QUBIT_CAP} total qubits")
-    fourier = fourier_kernel_multi(spec.config)
-    return BlockEncoding(plan, prepare_G(plan), build_select(plan, fourier=fourier))
+    return BlockEncoding(plan, prepare_G(plan), fourier_kernel_multi(spec.config))
 
 
 def verify_block_encoding(encoding: BlockEncoding, hamiltonian) -> float:
-    """max entrywise |(<G| x I) U (|G> x I) - H / lambda|."""
+    """max entrywise |(<G| x I) U (|G> x I) - H / lambda|, from the branches."""
     h = hamiltonian.to_dense() if isinstance(hamiltonian, SparseOperator) else np.asarray(hamiltonian)
     dim_sys = 1 << encoding.n_system_qubits
     if h.shape != (dim_sys, dim_sys):
         raise ValueError(f"Hamiltonian shape {h.shape} does not match system dim {dim_sys}")
     if encoding.total_qubits > VERIFY_QUBIT_CAP:
         raise CapExceededError(f"verification capped at {VERIFY_QUBIT_CAP} total qubits")
-    return float(np.abs(encoding.encoded_block() - h / encoding.plan.lam).max())
+    return float(np.abs(encoding.branch_block() - h / encoding.plan.lam).max())

@@ -15,6 +15,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .hamiltonian import (HamiltonianSpec, KineticScheme, expand_potential_zsum,
                           kinetic_zsum, raw_string_count)
 from .pauli import PauliSum, PauliTerm
@@ -207,16 +209,25 @@ def zstring_rotation(term: PauliTerm, angle: float) -> Circuit:
         raise ValueError("zstring_rotation needs an I/Z-only string")
     if not math.isfinite(angle):
         raise ValueError("angle must be finite")
-    circ = Circuit(term.n_qubits)
     support = [j for j in range(term.n_qubits) if (term.z_mask >> j) & 1]
+    return Circuit(term.n_qubits, _ladder(support, angle, {}))
+
+
+def _ladder(support: list[int], angle: float, cnots: dict) -> list[Gate]:
+    """The gates of ``zstring_rotation`` on the ascending qubit list ``support``.
+
+    ``cnots`` holds the CNOT gates made so far by qubit pair: gates are
+    immutable, so one object serves every ladder that uses the pair.
+    """
     if not support:
-        circ.append(Gate("PHASE", (), -angle))
-        return circ
-    ladder = [Gate("CNOT", (support[i], support[i + 1])) for i in range(len(support) - 1)]
-    circ.extend(ladder)
-    circ.append(Gate("RZ", (support[-1],), 2.0 * angle))
-    circ.extend(reversed(ladder))
-    return circ
+        return [Gate("PHASE", (), -angle)]
+    ladder = []
+    for pair in zip(support, support[1:]):
+        gate = cnots.get(pair)
+        if gate is None:
+            gate = cnots[pair] = Gate("CNOT", pair)
+        ladder.append(gate)
+    return [*ladder, Gate("RZ", (support[-1],), 2.0 * angle), *reversed(ladder)]
 
 
 # -- Trotter assembly ----------------------------------------------------------------
@@ -274,10 +285,21 @@ class GateCountReport:
 
 
 def _rotation_layer(psum: PauliSum, dt: float) -> Circuit:
+    """One ``zstring_rotation`` per string of a Z-sum, angle c.real * dt, in
+    the sum's order, read from its mask columns (x masks are ignored)."""
+    angles = psum.coeffs.real * dt
+    if not np.isfinite(angles).all():
+        raise ValueError("angle must be finite")
+    qubit = np.arange(psum.n_qubits)
+    bits = (psum.z_words[:, qubit >> 6] >> (qubit & 63).astype(np.uint64)) & np.uint64(1)
+    string, support = np.nonzero(bits)  # ascending qubits within each string
+    ends = np.searchsorted(string, np.arange(1, len(psum) + 1)).tolist()
+    support, cnots = support.tolist(), {}
     circ = Circuit(psum.n_qubits)
-    for term in psum.terms():
-        bare = PauliTerm(term.n_qubits, 0, term.z_mask)
-        circ.extend(zstring_rotation(bare, term.coefficient.real * dt))
+    start = 0
+    for end, angle in zip(ends, angles.tolist()):
+        circ.gates += _ladder(support[start:end], angle, cnots)  # inside the register
+        start = end
     return circ
 
 

@@ -191,7 +191,8 @@ def cmd_trotter(args) -> int:
 
 
 def cmd_blockenc(args) -> int:
-    """Report lambda / term counts / ancillas from the plan; --verify builds and checks U."""
+    """Report lambda / term counts / ancillas from the plan; --verify checks the
+    encoded block, summed from the plan's branches, against H / lambda."""
     spec = load_hamiltonian_spec(args.spec)
     encoding = block_encode(spec) if args.verify else None  # only verify is capped
     plan = encoding.plan if encoding else plan_from_spec(spec)

@@ -149,13 +149,9 @@ _EXACT_RECHECK = 2.0 ** -30
 
 def _series_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of power series in u stored along axis 0, to the same order."""
-    if len(a) == 1:
-        return a * b
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    for t in range(len(out)):
-        out[t] = a[0] * b[t]
-        for s in range(1, t + 1):
-            out[t] += a[s] * b[t - s]
+    out = a[0] * b  # the s = 0 term of every order
+    for s in range(1, len(out)):  # order t gains a[s] * b[t - s], s ascending
+        out[s:] += a[s] * b[:len(out) - s]
     return out
 
 
@@ -168,7 +164,8 @@ def _cosh_gaps(q: int, r: int) -> np.ndarray:
     y = np.ldexp(1.0, 2 * (np.arange(q) - q))  # w_j**2
     terms = [y ** s / math.factorial(2 * s) for s in range(1, r + 1)]
     gap = np.zeros((r + 1, q + 1, q + 1))
-    gap[0] = np.tri(q + 1).T
+    edge = np.arange(q + 1)
+    gap[0] = edge[:, None] <= edge  # the empty product for a <= b
     for t in range(1, r + 1):
         added = terms[0] * gap[t - 1, :, :q]
         for s in range(2, t + 1):
@@ -199,15 +196,16 @@ def _colex_levels(q: int, k_max: int, d_max: int, wanted) -> list[tuple]:
     # qubits [a, b) and then b; last[:, a, b] also covers the qubits above b
     step = _series_multiply(gap[:, :, :q], odd[:, None, :])
     last = _series_multiply(step, gap[:, None, 1:, q])
-    head, top = np.eye(r_max + 1, 1), np.array([-1])
+    head, top = np.eye(r_max + 1, 1), np.array([-1], dtype=np.int32)
     levels = [(None, top, gap[:, 0, q:] if 0 in wanted else None)]
+    qubits = np.arange(q, dtype=np.int32)
     for k in range(1, k_max + 1):
         r = (d_max - k) // 2
-        tops = np.arange(k - 1, q, dtype=np.int32)
-        counts = np.array([math.comb(i, k - 1) for i in tops.tolist()])
-        lead = np.arange(counts.sum(), dtype=np.int32) - np.repeat(
-            (np.cumsum(counts) - counts).astype(np.int32), counts)
-        below, top = top[lead] + 1, np.repeat(tops, counts)
+        tops = qubits[k - 1:]
+        counts = top.searchsorted(tops).astype(np.int32)  # rows below with a lower top
+        starts = counts.cumsum(dtype=np.int32) - counts
+        lead = np.arange(math.comb(q, k), dtype=np.int32) - starts.repeat(counts)
+        below, top = top[lead] + 1, tops.repeat(counts)
         head = head[:r + 1, lead]
         coef = _series_multiply(head, last[:r + 1, below, top]) if k in wanted else None
         if k < k_max:

@@ -57,10 +57,6 @@ class PauliTerm:
         """True when the string contains only I/Z letters."""
         return self.x_mask == 0
 
-    @property
-    def is_identity(self) -> bool:
-        return self.x_mask == 0 and self.z_mask == 0
-
     def letter(self, qubit: int) -> str:
         xb = (self.x_mask >> qubit) & 1
         zb = (self.z_mask >> qubit) & 1
@@ -88,9 +84,6 @@ class PauliTerm:
         """Matrix of the bare string (unit coefficient), with exact Y phases."""
         rows = np.arange(1 << self.n_qubits)
         return SparseOperator(rows.size, rows, *string_entries(self.x_mask, self.z_mask, rows))
-
-    def matrix(self) -> SparseOperator:
-        return self.coefficient * self.string_matrix()
 
 
 def string_entries(x_mask, z_mask, rows, coeff=1.0):

@@ -25,6 +25,8 @@ APPLY_QUBIT_CAP = 20
 MATRIX_QUBIT_CAP = 12
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+# an unnormalised butterfly grows a norm by sqrt(2): 2**256 at most in between
+_MAX_PENDING_H = 512
 
 
 @dataclass
@@ -88,13 +90,20 @@ def _run_circuit(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
 
     Each maximal run of permutation/phase gates is one row gather and one
     in-place row scaling (the gather is skipped when the run permutes
-    nothing); each H is a butterfly on a reshaped view. ``amps`` must be
-    C-contiguous and may be overwritten.
+    nothing); each H is an unnormalised butterfly on a reshaped view, and the
+    2**(-h/2) of the h butterflies since the last run rides on the next run's
+    phase vector (or one scaling at the end). ``amps`` must be C-contiguous
+    and may be overwritten.
     """
     dim = amps.shape[0]
+    spare = np.empty(amps.size // 2, dtype=amps.dtype)
+    pending = 0  # butterflies not yet normalised
     for is_h, gates in groupby(circuit, key=lambda g: g.kind == "H"):
         if not is_h:
             src, phase = _fused_run(gates, dim)
+            if pending:
+                phase *= _hadamard_norm(pending)
+                pending = 0
             if src is not None:
                 amps = amps[src]
             amps *= phase[:, None]
@@ -103,11 +112,21 @@ def _run_circuit(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
             q = gate.qubits[0]
             view = amps.reshape(dim >> (q + 1), 2, -1)  # axis 1 is qubit q's bit
             a0, a1 = view[:, 0], view[:, 1]
-            diff = a0 - a1
+            diff = np.subtract(a0, a1, out=spare.reshape(a0.shape))
             a0 += a1
-            a0 *= _SQRT_HALF
-            np.multiply(diff, _SQRT_HALF, out=a1)
+            a1[...] = diff
+            pending += 1
+            if pending == _MAX_PENDING_H:  # keep the growth far from overflow
+                amps *= _hadamard_norm(pending)
+                pending = 0
+    if pending:
+        amps *= _hadamard_norm(pending)
     return amps
+
+
+def _hadamard_norm(h: int) -> float:
+    """2**(-h/2), exact for even h."""
+    return math.ldexp(_SQRT_HALF if h % 2 else 1.0, -(h // 2))
 
 
 def apply_circuit(circuit: Circuit, state: StateVector) -> StateVector:
@@ -148,7 +167,10 @@ def exact_propagator(hamiltonian, time: float) -> Propagator:
     if np.abs(h - h.conj().T).max(initial=0.0) > 1e-12 * scale:
         raise ValueError("exact_propagator requires a Hermitian matrix")
     evals, evecs = np.linalg.eigh(h)
-    return Propagator(time, (evecs * np.exp(-1j * evals * time)) @ evecs.conj().T)
+    # exp(-iEt) = cos(Et) - i sin(Et): for a real H both products stay real,
+    # two real matrix products in place of one complex one
+    vh, phase = evecs.conj().T, evals * time
+    return Propagator(time, (evecs * np.cos(phase)) @ vh - 1j * ((evecs * np.sin(phase)) @ vh))
 
 
 def assemble_hamiltonian_matrix(spec: HamiltonianSpec,

@@ -149,17 +149,20 @@ class SparseOperator:
 def merge_rows(keys: list[np.ndarray], vals: np.ndarray):
     """Order rows by ``keys`` (aligned 1-D arrays, most significant first) and
     add the values of equal rows. Returns ``(take, merged)``: ``take`` indexes
-    each distinct key's first row in ascending key order, ``merged`` its sum
-    (``a + b`` for a pair; ``np.add.reduceat`` may regroup longer runs). Rows
-    that already ascend strictly skip the sort: ``take`` is ``slice(None)``.
+    each distinct key's first row in ascending key order, ``merged`` its sum.
+    Each sum runs strictly left to right in input order (the sort is
+    stable): one vector pass per position after the first, over the runs
+    that long, so ``a + b + c`` is ``(a + b) + c`` bit for bit. Rows that
+    already ascend strictly skip the sort: ``take`` is ``slice(None)``.
     """
     if vals.size < 2:
         return slice(None), vals
     ahead = np.zeros(vals.size - 1, dtype=bool)
     tied = ~ahead
-    for key in keys:
+    for key in keys[:-1]:
         ahead |= tied & (key[1:] > key[:-1])
         tied &= key[1:] == key[:-1]
+    ahead |= tied & (keys[-1][1:] > keys[-1][:-1])
     if ahead.all():
         return slice(None), vals
     order = np.lexsort(keys[::-1])  # lexsort's primary key is its last
@@ -168,7 +171,17 @@ def merge_rows(keys: list[np.ndarray], vals: np.ndarray):
         key = key[order]
         new |= key[1:] != key[:-1]
     starts = np.flatnonzero(np.concatenate(([True], new)))
-    return order[starts], np.add.reduceat(vals[order], starts)
+    vals = vals[order]
+    merged = vals[starts]
+    more = np.append(~new, False)  # sorted row i + 1 continues row i's run
+    longer = np.flatnonzero(more[starts])  # the runs with a second row
+    at = starts[longer]
+    while longer.size:  # one pass per further position, left to right
+        at += 1
+        merged[longer] += vals[at]
+        keep = more[at]
+        longer, at = longer[keep], at[keep]
+    return order[starts], merged
 
 
 def is_power_of_two(n: int) -> bool:

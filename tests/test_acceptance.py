@@ -130,15 +130,20 @@ def test_block_encoding_identity():
     toy_sum = PauliSum.from_terms(1, [PauliTerm.from_label("X", 1.0),
                                       PauliTerm.from_label("Z", 1.0)])
     plan = build_plan(toy_sum)
-    toy = BlockEncoding(plan, prepare_G(plan), build_select(plan))
+    toy = BlockEncoding(plan, prepare_G(plan))
+    assert np.array_equal(toy.select.to_dense(), build_select(plan).to_dense())
     h_toy = np.array([[1.0, 1.0], [1.0, -1.0]])
-    assert verify_block_encoding(toy, h_toy) <= 1e-10
+    assert np.abs(toy.encoded_block() - h_toy / plan.lam).max() <= 1e-10
+    assert verify_block_encoding(toy, h_toy) <= 1e-10  # from the branches
 
     for qubits, coeffs in ((2, {2: 0.5}), (3, {2: 1.0, 4: 1.0})):
         spec = coord_spec(qubits, coeffs)
         enc = block_encode(spec)
-        err = verify_block_encoding(enc, assemble_hamiltonian_matrix(spec))
+        h = assemble_hamiltonian_matrix(spec)
+        err = np.abs(enc.encoded_block() - h / enc.plan.lam).max()
         assert err <= 1e-10, f"encoding error {err:.2e} at Q={qubits}"
+        err = verify_block_encoding(enc, h)
+        assert err <= 1e-10, f"branch-sum error {err:.2e} at Q={qubits}"
         u = enc.select.to_dense()
         assert np.abs(u @ u.conj().T - np.eye(u.shape[0])).max() <= 1e-9
 

@@ -1,15 +1,21 @@
 """LCU plans, prepare/select construction, and block-encoding verification."""
 import functools
 
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qboson.blockenc
 from qboson import (HamiltonianSpec, Monomial, PauliSum, PauliTerm, PolynomialPotential,
                     TruncationConfig, assemble_hamiltonian_matrix, block_encode,
-                    build_plan, build_select, plan_from_spec, prepare_G,
-                    verify_block_encoding)
+                    build_plan, build_select, fourier_kernel, load_hamiltonian_spec,
+                    plan_from_spec, prepare_G, verify_block_encoding)
 from qboson.blockenc import BlockEncoding
+from qboson.cli import main
 from qboson.operators import fourier_kernel_multi
 from qboson.sparse import SparseOperator
 
@@ -198,17 +204,19 @@ class TestSelect:
 class TestVerify:
     def toy_encoding(self):
         plan = build_plan(sum_from_labels(1, [("X", 1.0), ("Z", 1.0)]))
-        return BlockEncoding(plan, prepare_G(plan), build_select(plan))
+        return BlockEncoding(plan, prepare_G(plan))
 
     def test_single_z_exact(self):
         plan = build_plan(sum_from_labels(1, [("Z", 1.0)]))
-        enc = BlockEncoding(plan, prepare_G(plan), build_select(plan))
+        enc = BlockEncoding(plan, prepare_G(plan))
         assert verify_block_encoding(enc, np.diag([1.0, -1.0])) == 0.0
+        assert np.array_equal(enc.encoded_block(), np.diag([1.0, -1.0]))
 
     def test_x_plus_z(self):
         enc = self.toy_encoding()
         h = np.array([[1.0, 1.0], [1.0, -1.0]])
         assert verify_block_encoding(enc, h) < 1e-12
+        assert np.abs(enc.encoded_block() - h / enc.plan.lam).max() < 1e-12
         assert enc.plan.lam == pytest.approx(2.0)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -221,7 +229,8 @@ class TestVerify:
         dim = (1 << plan.ancilla_count) << n
         u = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         u[rng.random((dim, dim)) < 0.5] = 0.0
-        enc = BlockEncoding(plan, prepare_G(plan), SparseOperator.from_dense(u))
+        enc = BlockEncoding(plan, prepare_G(plan))
+        enc.select = SparseOperator.from_dense(u)  # stands in for the built select
         g, eye = enc.g_state, np.eye(1 << n)
         expected = np.kron(g.conj()[None, :], eye) @ u @ np.kron(g[:, None], eye)
         assert np.abs(enc.encoded_block() - expected).max() <= 1e-12
@@ -240,6 +249,99 @@ class TestVerify:
         enc = block_encode(spec)
         h = assemble_hamiltonian_matrix(spec)
         assert verify_block_encoding(enc, h) < 1e-10
+        assert np.abs(enc.encoded_block() - h / enc.plan.lam).max() < 1e-10
         u = enc.select.to_dense()
         assert np.abs(u @ u.conj().T - np.eye(u.shape[0])).max() < 1e-9
         assert enc.plan.lam >= np.abs(h).max() - 1e-9
+
+
+@st.composite
+def lcu_cases(draw):
+    """A register size and signed potential and kinetic strings on it."""
+    n = draw(st.integers(1, 3))
+    labels = st.text("IXYZ", min_size=n, max_size=n)
+    coeffs = st.builds(lambda m, neg: -m if neg else m, st.floats(0.05, 4.0), st.booleans())
+    potential = draw(st.dictionaries(labels, coeffs, min_size=1, max_size=6))
+    kinetic = draw(st.dictionaries(labels, coeffs, max_size=5))
+    return n, potential, kinetic
+
+
+COUPLED_QUARTIC = [(0.5, {0: 2}), (0.5, {1: 2}), (0.25, {0: 4}), (0.25, {1: 4}),
+                   (0.5, {0: 2, 1: 2})]
+LCU_SPECS = ([(1, q, [(1.0, {0: 4})]) for q in range(2, 7)]
+             + [(1, q, [(1.0, {0: 2}), (2.0, {0: 4}), (1.0, {0: 6})]) for q in range(2, 7)]
+             + [(2, q, COUPLED_QUARTIC) for q in (2, 3)])
+
+
+class TestBranchBlock:
+    """verify_block_encoding reads the block off the plan's branches; the
+    select operator and its encoded_block() are the oracle."""
+
+    @given(lcu_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_select_block(self, case):
+        n, potential, kinetic = case
+        plan = build_plan(sum_from_labels(n, potential.items()),
+                          sum_from_labels(n, kinetic.items()) if kinetic else None)
+        enc = BlockEncoding(plan, prepare_G(plan), fourier_kernel(1 << n))
+        block = enc.branch_block()
+        assert np.abs(block - enc.encoded_block()).max() <= 1e-12
+        g, eye = enc.g_state, np.eye(1 << n)
+        u = enc.select.to_dense()
+        expected = np.kron(g.conj()[None, :], eye) @ u @ np.kron(g[:, None], eye)
+        assert np.abs(block - expected).max() <= 1e-12
+
+    def test_reads_the_prepared_column(self):
+        # the weights come from prepare, not from the plan: a wrong column shows
+        plan = build_plan(sum_from_labels(1, [("X", 1.0), ("Z", 1.0)]))
+        h = np.array([[1.0, 1.0], [1.0, -1.0]])
+        assert verify_block_encoding(BlockEncoding(plan, np.eye(2)), h) == pytest.approx(0.5)
+
+    def test_kinetic_needs_kernel(self):
+        plan = build_plan(sum_from_labels(1, [("X", 1.0)]), sum_from_labels(1, [("Z", 1.0)]))
+        with pytest.raises(ValueError, match="[Ff]ourier"):
+            verify_block_encoding(BlockEncoding(plan, prepare_G(plan)), np.eye(2))
+
+    @pytest.mark.parametrize("bosons,qubits,monomials", LCU_SPECS)
+    def test_cli_verify_builds_no_select(self, bosons, qubits, monomials, tmp_path,
+                                         monkeypatch, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "bosons": bosons, "qubits_per_boson": qubits, "radius": 2.0,
+            "potential": [{"coeff": c, "exponents": [e.get(a, 0) for a in range(bosons)]}
+                          for c, e in monomials]}))
+        spec = load_hamiltonian_spec(str(path))
+        enc = block_encode(spec)
+        assert enc.select is enc.select  # built once, on first access
+        ref = build_select(enc.plan, fourier_kernel_multi(spec.config))
+        for got, want in zip((enc.select.rows, enc.select.cols, enc.select.vals),
+                             (ref.rows, ref.cols, ref.vals)):
+            assert np.array_equal(got, want)
+        oracle = np.abs(enc.encoded_block() - assemble_hamiltonian_matrix(spec)
+                        / enc.plan.lam).max()
+
+        def no_select(*args, **kwargs):
+            raise AssertionError("blockenc --verify built the select operator")
+
+        monkeypatch.setattr(qboson.blockenc, "build_select", no_select)
+        assert main(["blockenc", str(path), "--verify", "--format", "json"]) == 0
+        err = json.loads(capsys.readouterr().out)["verify_error"]
+        assert err <= 1e-10
+        assert abs(err - oracle) <= 1e-15
+
+    def test_cap_before_any_allocation(self, tmp_path, monkeypatch, capsys):
+        # B=2 Q=5: 10 system qubits and 8 ancillas, past the 14-qubit cap
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "bosons": 2, "qubits_per_boson": 5, "radius": 2.0,
+            "potential": [{"coeff": c, "exponents": e} for c, e in
+                          ((1.0, [2, 0]), (1.0, [0, 2]), (0.5, [2, 2]), (1.0, [4, 0]))]}))
+
+        def allocated(*args, **kwargs):
+            raise AssertionError("allocated past the cap")
+
+        for name in ("prepare_G", "build_select", "fourier_kernel_multi"):
+            monkeypatch.setattr(qboson.blockenc, name, allocated)
+        monkeypatch.setattr(BlockEncoding, "branch_block", allocated)
+        assert main(["blockenc", str(path), "--verify"]) == 3
+        assert "capped at 14 total qubits" in capsys.readouterr().err

@@ -6,10 +6,11 @@ import pytest
 import scipy.linalg
 
 from qboson import (Circuit, Gate, HamiltonianSpec, KineticScheme, Monomial,
-                    PauliTerm, PolynomialPotential, TruncationConfig,
+                    PauliSum, PauliTerm, PolynomialPotential, TruncationConfig,
                     circuit_from_text, circuit_matrix, circuit_to_text,
                     fourier_kernel, qft_circuit, trotter_evolution, trotter_step,
                     zstring_rotation)
+from qboson.circuits import _rotation_layer
 
 
 class TestGateAndCircuit:
@@ -151,6 +152,28 @@ class TestZStringRotation:
             zstring_rotation(PauliTerm(2, 0b01, 0), 0.1)
         with pytest.raises(ValueError):
             zstring_rotation(PauliTerm(1, 0, 1), float("nan"))
+
+
+class TestRotationLayer:
+    """The layer read from mask columns against one zstring_rotation per term."""
+
+    @pytest.mark.parametrize("n,seed", [(1, 0), (3, 1), (6, 2), (70, 3)])
+    def test_same_gates_as_per_term_rotations(self, n, seed):
+        rng = np.random.default_rng(seed)
+        masks = {0} | {int(m) for m in rng.integers(0, 1 << min(n, 62), 12)}
+        if n > 64:
+            masks |= {1 << 69, (1 << 69) | (1 << 63) | 5}  # straddle the word boundary
+        psum = PauliSum.from_terms(n, [PauliTerm(n, 0, m, complex(rng.uniform(-2, 2), 0.1))
+                                       for m in masks])
+        expected = [g for t in psum.terms() for g in
+                    zstring_rotation(PauliTerm(n, 0, t.z_mask), t.coefficient.real * 0.3)]
+        assert _rotation_layer(psum, 0.3).gates == expected
+
+    @pytest.mark.parametrize("coeff", [math.inf, math.nan])
+    def test_rejects_non_finite_angle(self, coeff):
+        psum = PauliSum.from_terms(2, [PauliTerm(2, 0, 0b01, 1.0), PauliTerm(2, 0, 0b11, coeff)])
+        with pytest.raises(ValueError, match="finite"):
+            _rotation_layer(psum, 0.1)
 
 
 def anharmonic_spec(qubits=3, radius=2.0):

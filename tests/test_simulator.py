@@ -96,6 +96,13 @@ class TestFusedKernel:
         out = apply_circuit(circ, StateVector(circ.n_qubits, amps)).amplitudes
         assert np.abs(out - _oracle_unitary(circ) @ amps).max() < 1e-12
 
+    @pytest.mark.parametrize("count", [1, 2, 511, 512, 513, 2501])
+    def test_long_hadamard_runs_stay_normalised(self, count):
+        # butterflies are normalised in batches: 2501 unscaled ones would overflow
+        h = np.array([[1, 1], [1, -1]]) / math.sqrt(2.0)
+        u = circuit_matrix(Circuit(1, [Gate("H", (0,))] * count))
+        assert np.abs(u - np.linalg.matrix_power(h, count)).max() < 1e-12
+
     def test_oracle_conventions(self):
         # the oracle itself against hand-written 2-qubit matrices (qubit 0 = bit 1)
         cnot01 = np.eye(4)[[0, 3, 2, 1]]  # control 0 set: |1> <-> |3>

@@ -104,10 +104,33 @@ def column_bytes(*columns) -> list[bytes]:
     return [np.asarray(c).tobytes() for c in columns]
 
 
+@st.composite
+def long_run_cases(draw):
+    """Entries on distinct keys, each 3 to 6 times, in random order, with
+    magnitudes far apart, so that any regrouping of a sum changes its bits."""
+    n = draw(st.integers(1, 3))
+    cells = st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))
+    keys = draw(st.lists(cells, unique=True, min_size=1, max_size=8))
+    values = st.one_of(VALUES, NEAR_ZERO, st.floats(-1e3, 1e3), st.sampled_from([1e-13, 2.5]))
+    entries = [(r, c, draw(values)) for r, c in keys for _ in range(draw(st.integers(3, 6)))]
+    return n, draw(st.permutations(entries))
+
+
 @given(merge_cases())
 @settings(max_examples=200, deadline=None)
 def test_one_merge_kernel_for_operators_and_pauli_sums(case):
-    n, shuffled = case
+    check_merge(*case)
+
+
+@given(long_run_cases())
+@settings(max_examples=200, deadline=None)
+def test_long_runs_add_left_to_right(case):
+    check_merge(*case)
+
+
+def check_merge(n, shuffled):
+    """Both constructors give each key's input-order sum bit for bit, and
+    skip the sort when the keys arrive unique and in order."""
     sums = {}  # each key's values added in input order
     for r, c, v in shuffled:
         sums[r, c] = sums[r, c] + v if (r, c) in sums else v
