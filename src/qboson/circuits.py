@@ -19,7 +19,7 @@ import numpy as np
 
 from .hamiltonian import (HamiltonianSpec, KineticScheme, expand_potential_zsum,
                           kinetic_zsum, raw_string_count)
-from .pauli import PauliSum, PauliTerm
+from .pauli import PauliSum, PauliTerm, mask_bits
 
 GATE_ARITY = {
     "H": 1, "X": 1, "RZ": 1, "DIAGPHASE": 1,
@@ -290,9 +290,7 @@ def _rotation_layer(psum: PauliSum, dt: float) -> Circuit:
     angles = psum.coeffs.real * dt
     if not np.isfinite(angles).all():
         raise ValueError("angle must be finite")
-    qubit = np.arange(psum.n_qubits)
-    bits = (psum.z_words[:, qubit >> 6] >> (qubit & 63).astype(np.uint64)) & np.uint64(1)
-    string, support = np.nonzero(bits)  # ascending qubits within each string
+    string, support = np.nonzero(mask_bits(psum.z_words, psum.n_qubits))  # ascending qubits
     ends = np.searchsorted(string, np.arange(1, len(psum) + 1)).tolist()
     support, cnots = support.tolist(), {}
     circ = Circuit(psum.n_qubits)

@@ -17,7 +17,7 @@ import sys
 
 from .blockenc import (KINETIC, POTENTIAL, block_encode, plan_from_spec,
                        verify_block_encoding)
-from .circuits import trotter_evolution, write_circuit
+from .circuits import Circuit, trotter_evolution, write_circuit
 from .decompose import decompose_tensorized
 from .errors import CapExceededError, SpecFileError, VerificationError
 from .hamiltonian import (BasisChoice, HamiltonianSpec, expand_potential_zsum,
@@ -157,7 +157,9 @@ def cmd_trotter(args) -> int:
         # serves both; looked up on the module so that a wrapper installed on
         # simulate.exact_propagator (perfbench/tracing.py) sees this call
         exact = simulate.exact_propagator(assemble_hamiltonian_matrix(spec), args.time)
-        err = trotter_error(spec, args.time, args.steps, exact=exact)
+        step = Circuit(circuit.n_qubits)  # the report's first step, gates checked
+        step.gates = circuit.gates[:len(circuit) // args.steps]
+        err = trotter_error(spec, args.time, args.steps, exact=exact, step=step)
         doc["trotter_error"] = err
         verify_rows.append(["trotter_error", args.steps, err])
         if args.steps % 2 == 0 and args.steps >= 2:

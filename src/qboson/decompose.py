@@ -52,21 +52,39 @@ def decompose_trace(op: SparseOperator, cap: int = TRACE_QUBIT_CAP,
 def _transformed_diagonals(dim: int, xs, index, vals):
     """Group entries by x, scatter each group at ``index`` into a length-dim row,
     and yield (x values, rows after the Walsh–Hadamard butterfly) per batch."""
-    keys, group = np.unique(xs, return_inverse=True)
-    order = np.argsort(group, kind="stable")
-    group, index, vals = group[order], index[order], vals[order]
+    order = np.argsort(xs, kind="stable")
+    xs, index, vals = xs[order], index[order], vals[order]
+    new = np.concatenate((xs[:1] >= 0, xs[1:] != xs[:-1]))  # xs >= 0: the first opens a group
+    keys, group = xs[new], np.cumsum(new) - 1
     per = max(1, BATCH_ENTRIES // dim)
+    spare = np.empty(min(per, keys.size) * dim // 2, dtype=vals.dtype)
     for start in range(0, keys.size, per):
         lo, hi = np.searchsorted(group, [start, start + per])
-        work = np.zeros((min(per, keys.size - start), dim), dtype=np.complex128)
+        work = np.zeros((min(per, keys.size - start), dim), dtype=vals.dtype)
         work[group[lo:hi] - start, index[lo:hi]] = vals[lo:hi]
         # most significant bit first; the rounding residues that --tol 0 counts
-        # depend on this order (README)
-        for bit in reversed(range(dim.bit_length() - 1)):
-            pairs = work.reshape(len(work), -1, 2, 1 << bit)
-            low, high = pairs[:, :, 0], pairs[:, :, 1]
-            low[...], high[...] = low + high, low - high
+        # depend on this order (README). The low half of the bits pairs near
+        # neighbours, which numpy loops over slowly, so they run on the
+        # transpose, where they are the high bits.
+        rows, n_bits = len(work), dim.bit_length() - 1
+        low = n_bits // 2
+        for bit in reversed(range(low, n_bits)):
+            _butterfly_level(work, bit, spare)
+        work = work.reshape(rows, -1, 1 << low).transpose(0, 2, 1).reshape(rows, dim)
+        for bit in reversed(range(n_bits - low, n_bits)):
+            _butterfly_level(work, bit, spare)
+        work = work.reshape(rows, 1 << low, -1).transpose(0, 2, 1).reshape(rows, dim)
         yield keys[start:start + per], work
+
+
+def _butterfly_level(work, bit: int, spare) -> None:
+    """Entries i and i + 2**bit of each row (bit clear in i) to their sum and
+    difference, in place, in three passes through ``spare``."""
+    pairs = work.reshape(len(work), -1, 2, 1 << bit)
+    low, high = pairs[:, :, 0], pairs[:, :, 1]
+    diff = np.subtract(low, high, out=spare[:work.size // 2].reshape(low.shape))
+    low += high
+    high[...] = diff
 
 
 def decompose_tensorized(op: SparseOperator,
@@ -77,12 +95,18 @@ def decompose_tensorized(op: SparseOperator,
     magnitude so far, which is never above the final one."""
     n = qubit_count(op.dim)
     found, peak = [], 0.0
-    # dim is a power of two, so dividing before the butterfly is exact
-    for xs, work in _transformed_diagonals(op.dim, op.rows ^ op.cols, op.cols, op.vals / op.dim):
+    # dim is a power of two, so dividing first is exact; a real (x, V) or
+    # imaginary (p) matrix transforms its nonzero part, and powers of i multiply exactly
+    vals, phases = op.vals / op.dim, I_POWERS.conj()
+    if not vals.imag.any():
+        vals = vals.real
+    elif not vals.real.any():
+        vals, phases = vals.imag, 1j * phases
+    for xs, work in _transformed_diagonals(op.dim, op.rows ^ op.cols, op.cols, vals):
         mags = np.abs(work)
         peak = max(peak, float(mags.max()))
         g, z = np.nonzero(mags > rel_tol * peak)
-        found.append((xs[g], z, work[g, z] * I_POWERS[np.bitwise_count(xs[g] & z) % 4].conj()))
+        found.append((xs[g], z, work[g, z] * phases[np.bitwise_count(xs[g] & z) % 4]))
     if not found:
         return PauliSum(n)
     xs, zs, coeffs = (np.concatenate(parts) for parts in zip(*found))

@@ -22,7 +22,7 @@ from .errors import CapExceededError, SpecFileError
 from .operators import (FockParams, TruncationConfig, coordinate_values, fock_p,
                         fock_x, momentum_values, p2_finite_difference)
 from .pauli import PauliSum, single_qubit_words
-from .sparse import SparseOperator
+from .sparse import ZERO_TOL, SparseOperator
 
 FOCK_TOTAL_QUBIT_CAP = 14  # dense/banded matrix products stop being desk-scale
 
@@ -405,23 +405,50 @@ def kinetic_grid_diagonal(spec: HamiltonianSpec) -> np.ndarray:
 
 # -- Fock-basis construction -----------------------------------------------------
 
-def _check_fock_size(config: TruncationConfig) -> None:
-    if config.total_qubits > FOCK_TOTAL_QUBIT_CAP:
-        raise CapExceededError(
-            f"Fock-basis construction capped at {FOCK_TOTAL_QUBIT_CAP} total qubits, "
-            f"got {config.total_qubits}")
+def _banded_powers(op: SparseOperator, degree: int) -> list[np.ndarray]:
+    """op**0 .. op**degree as bands (row r holds op**m[r, r + o - degree - 1] at
+    column o) for a real op with entries only at (j, j +- 1). Each product adds
+    op**m[r, c-1] op[c-1, c] + op**m[r, c+1] op[c+1, c] in the order of the
+    ``@`` row join and drops entries at or below ZERO_TOL, as ``@`` does."""
+    pad = degree + 1
+    at = np.arange(op.dim)[:, None] + np.arange(1, 2 * pad)  # column + pad
+    into = np.zeros((2, op.dim + 2 * pad))
+    into[(op.rows > op.cols).astype(int), op.cols + pad] = op.vals.real  # op[c-1, c], op[c+1, c]
+    left, right = into[:, at]
+    powers = [np.zeros((op.dim, 2 * pad + 1))]
+    powers[0][:, pad] = 1.0
+    for _ in range(degree):
+        band = np.zeros_like(powers[0])
+        band[:, 1:-1] = powers[-1][:, :-2] * left + powers[-1][:, 2:] * right
+        powers.append(_drop_zeros(band))
+    return powers
+
+
+def _drop_zeros(band: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(band) > ZERO_TOL, band, 0.0)
+
+
+def _band_operator(band: np.ndarray) -> SparseOperator:
+    rows, o = np.nonzero(band)  # in (row, col) order
+    return SparseOperator(len(band), rows, rows + o - len(band[0]) // 2, band[rows, o])
 
 
 def fock_potential(spec: HamiltonianSpec) -> SparseOperator:
-    """V evaluated on truncated Fock coordinate matrices (truncate, then multiply)."""
+    """V evaluated on truncated Fock coordinate matrices (truncate, then multiply):
+    one boson adds its monomials as bands, more bosons ``kron`` the powers."""
     cfg = spec.config
-    _check_fock_size(cfg)
-    x1 = fock_x(cfg.cutoff, spec.fock_params)
-    powers = [SparseOperator.identity(cfg.cutoff)]
-    for _ in range(spec.potential.degree):
-        powers.append(powers[-1] @ x1)
-    dim = cfg.cutoff ** cfg.bosons
-    total = SparseOperator.zeros(dim)
+    if cfg.total_qubits > FOCK_TOTAL_QUBIT_CAP:
+        raise CapExceededError(f"Fock-basis construction capped at {FOCK_TOTAL_QUBIT_CAP} "
+                               f"total qubits, got {cfg.total_qubits}")
+    powers = _banded_powers(fock_x(cfg.cutoff, spec.fock_params), spec.potential.degree)
+    if cfg.bosons == 1:
+        total = np.zeros_like(powers[0])
+        for mono in spec.potential.terms:
+            if abs(mono.coefficient) > ZERO_TOL:  # as its 1x1 operator in the kron chain
+                total = _drop_zeros(total + _drop_zeros(mono.coefficient * powers[mono.degree]))
+        return _band_operator(total)
+    powers = [_band_operator(band) for band in powers]
+    total = SparseOperator.zeros(cfg.cutoff ** cfg.bosons)
     for mono in spec.potential.terms:
         op = SparseOperator.from_entries(1, [(0, 0, mono.coefficient)])
         for a in range(cfg.bosons - 1, -1, -1):  # high boson first, boson 0 least significant
@@ -435,8 +462,9 @@ def fock_hamiltonian(spec: HamiltonianSpec, include_kinetic: bool = True) -> Spa
     cfg = spec.config
     total = fock_potential(spec)
     if include_kinetic:
-        p1 = fock_p(cfg.cutoff, spec.fock_params)
-        total = total + 0.5 * _embed_per_boson(cfg, p1 @ p1)
+        # p = i R with R real, so p**2 = -(R**2), bit for bit
+        p2 = _band_operator(-_banded_powers(-1j * fock_p(cfg.cutoff, spec.fock_params), 2)[2])
+        total = total + 0.5 * _embed_per_boson(cfg, p2)
     return total
 
 

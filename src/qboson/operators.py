@@ -158,24 +158,30 @@ def p2_finite_difference(qubits: int, spacing: float, periodic: bool = False) ->
 
 def fock_ladder(cutoff: int) -> SparseOperator:
     """Truncated creation operator: sum_j sqrt(j+1) |j+1><j| for j < cutoff-1."""
+    return _fock_off_diagonal(cutoff, 1.0, 0.0)
+
+
+def _fock_off_diagonal(cutoff: int, below: complex, above: complex) -> SparseOperator:
+    """below * sqrt(j+1) at (j+1, j) plus above * sqrt(j+1) at (j, j+1), built
+    in (row, col) order: (j, j+1) comes just before (j+1, j)."""
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
-    j = np.arange(cutoff - 1)
-    return SparseOperator(cutoff, j + 1, j, np.sqrt(j + 1.0))
+    j, root = np.arange(cutoff - 1), np.sqrt(np.arange(1.0, cutoff))
+    return SparseOperator(cutoff, np.stack([j, j + 1], axis=1).ravel(),
+                          np.stack([j + 1, j], axis=1).ravel(),
+                          np.stack([above * root, below * root], axis=1).ravel())
 
 
 def fock_x(cutoff: int, params: FockParams = FockParams()) -> SparseOperator:
     """Truncated coordinate operator (A + A^dagger) / sqrt(2 m omega)."""
-    a_dag = fock_ladder(cutoff)
     scale = 1.0 / math.sqrt(2.0 * params.mass * params.frequency)
-    return scale * (a_dag + a_dag.dagger())
+    return _fock_off_diagonal(cutoff, scale, scale)
 
 
 def fock_p(cutoff: int, params: FockParams = FockParams()) -> SparseOperator:
     """Truncated momentum operator i sqrt(m omega / 2) (A^dagger - A)."""
-    a_dag = fock_ladder(cutoff)
     scale = 1j * math.sqrt(params.mass * params.frequency / 2.0)
-    return scale * (a_dag - a_dag.dagger())
+    return _fock_off_diagonal(cutoff, scale, -scale)
 
 
 def fourier_kernel(n_points: int) -> np.ndarray:

@@ -111,6 +111,12 @@ def single_qubit_words(n_qubits: int) -> np.ndarray:
     return out
 
 
+def mask_bits(words: np.ndarray, n_qubits: int) -> np.ndarray:
+    """``(len, n_qubits)`` uint64 0/1 array; column j is qubit j's bit of each row."""
+    qubit = np.arange(n_qubits)
+    return (words[:, qubit >> 6] >> (qubit & 63).astype(np.uint64)) & np.uint64(1)
+
+
 def _popcount(words: np.ndarray) -> np.ndarray:
     """Set bits per row of a word array, as int64."""
     return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
@@ -139,7 +145,8 @@ def _to_ints(words: np.ndarray) -> list[int]:
 
 def _canonical(x: np.ndarray, z: np.ndarray, c: np.ndarray):
     """Sort rows by weight, then x, then z (as integers) and sum duplicates."""
-    weight = np.bitwise_count(x | z).sum(axis=1, dtype=np.int32)
+    # the smallest type that holds any weight; 16 bits or less sort by radix
+    weight = np.bitwise_count(x | z).sum(axis=1, dtype=np.min_scalar_type(64 * x.shape[1]))
     take, c = merge_rows([weight, *x.T[::-1], *z.T[::-1]], c)  # most significant first
     return x[take], z[take], c
 
@@ -296,16 +303,23 @@ def string_census(psum: PauliSum, tol: float = 0.0) -> StringCensus:
         packed *= base
         packed += _popcount(words)
     keys, counts = np.unique(packed, return_counts=True)
-    census = StringCensus(0, {})
-    for key, m in zip(keys.tolist(), counts.tolist()):
+    census = StringCensus(packed.size, {})
+    by_length, y_counts, letters = census.by_length, census.y_counts, census.letters
+    for key, m in zip(keys.tolist(), counts.tolist()):  # item adds: Counter.update costs more
         rest, n_z_bits = divmod(key, base)
         y, n_x_bits = divmod(rest, base)
-        tally = {"X": n_x_bits - y, "Y": y, "Z": n_z_bits - y}
-        l = sum(tally.values())
-        census.total += m
-        census.by_length[l] = census.by_length.get(l, 0) + m
-        census.y_counts.setdefault(l, Counter())[y] += m
-        census.letters.setdefault(l, Counter()).update({ch: k * m for ch, k in tally.items() if k})
+        l = n_x_bits + n_z_bits - y
+        if l not in by_length:
+            by_length[l], y_counts[l], letters[l] = 0, Counter(), Counter()
+        by_length[l] += m
+        y_counts[l][y] += m
+        tally = letters[l]
+        if n_x_bits > y:
+            tally["X"] += (n_x_bits - y) * m
+        if y:
+            tally["Y"] += y * m
+        if n_z_bits > y:
+            tally["Z"] += (n_z_bits - y) * m
     return census
 
 
@@ -315,10 +329,13 @@ def string_census(psum: PauliSum, tol: float = 0.0) -> StringCensus:
 TEXT_QUBIT_LIMIT = 1 << 20  # largest n_qubits a pauli-sum header may declare
 
 def pauli_sum_to_text(psum: PauliSum) -> str:
-    lines = [f"# pauli-sum n_qubits={psum.n_qubits} ordering=msb-left"]
-    for t in psum.terms():
-        c = complex(t.coefficient)
-        lines.append(f"{t.label()} {c.real:.16e} {c.imag:.16e}")
+    n = psum.n_qubits
+    codes = mask_bits(psum.x_words, n) + 2 * mask_bits(psum.z_words, n)
+    letters = np.frombuffer(b"IXZY", np.uint8)[codes][:, ::-1]  # msb leftmost
+    labels = np.ascontiguousarray(letters).view(f"S{n}").ravel()
+    lines = [f"# pauli-sum n_qubits={n} ordering=msb-left"]
+    lines += [f"{label.decode()} {c.real:.16e} {c.imag:.16e}"
+              for label, c in zip(labels.tolist(), psum.coeffs.tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -204,13 +204,14 @@ def assemble_hamiltonian_matrix(spec: HamiltonianSpec,
 
 
 def trotter_error(spec: HamiltonianSpec, total_time: float, steps: int,
-                  include_kinetic: bool = True, exact: Propagator | None = None) -> float:
+                  include_kinetic: bool = True, exact: Propagator | None = None,
+                  step: Circuit | None = None) -> float:
     """max entrywise |U_trotter - U_exact| for the assembled Hamiltonian.
 
     U_trotter is one simulated step circuit (dt = total_time / steps) raised
     to ``steps`` by repeated squaring. ``exact`` is the reference propagator
     exp(-i H total_time); pass it to share one reference between step counts,
-    or leave it None to build it here.
+    or leave it None to build it here; likewise ``step``, the one-step circuit.
     """
     n = spec.config.total_qubits
     if n > MATRIX_QUBIT_CAP:
@@ -224,6 +225,7 @@ def trotter_error(spec: HamiltonianSpec, total_time: float, steps: int,
         raise ValueError(f"reference propagator (time {exact.time}, shape "
                          f"{exact.unitary.shape}) does not match time {total_time} "
                          f"on {n} qubits")
-    step, _ = trotter_evolution(spec, total_time / steps, 1, include_kinetic)
+    if step is None:
+        step, _ = trotter_evolution(spec, total_time / steps, 1, include_kinetic)
     u_trotter = np.linalg.matrix_power(circuit_matrix(step), steps)
     return float(np.abs(u_trotter - exact.unitary).max())

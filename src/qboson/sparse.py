@@ -153,18 +153,20 @@ def merge_rows(keys: list[np.ndarray], vals: np.ndarray):
     Each sum runs strictly left to right in input order (the sort is
     stable): one vector pass per position after the first, over the runs
     that long, so ``a + b + c`` is ``(a + b) + c`` bit for bit. Rows that
-    already ascend strictly skip the sort: ``take`` is ``slice(None)``.
-    """
+    already ascend strictly skip the sort: ``take`` is ``slice(None)``. Rows
+    that ascend strictly in ``keys[1:]`` are unique and need one stable argsort
+    of ``keys[0]`` (a radix sort for keys of 16 bits or less)."""
     if vals.size < 2:
         return slice(None), vals
-    ahead = np.zeros(vals.size - 1, dtype=bool)
-    tied = ~ahead
-    for key in keys[:-1]:
-        ahead |= tied & (key[1:] > key[:-1])
-        tied &= key[1:] == key[:-1]
-    ahead |= tied & (keys[-1][1:] > keys[-1][:-1])
-    if ahead.all():
+    rest = np.zeros(vals.size - 1, dtype=bool)  # row i + 1 above row i in keys[1:]
+    for key in keys[:0:-1]:
+        rest = (key[1:] > key[:-1]) | (key[1:] == key[:-1]) & rest
+    first = keys[0]
+    if ((first[1:] > first[:-1]) | (first[1:] == first[:-1]) & rest).all():
         return slice(None), vals
+    if rest.all():
+        order = np.argsort(first, kind="stable")
+        return order, vals[order]
     order = np.lexsort(keys[::-1])  # lexsort's primary key is its last
     new = np.zeros(vals.size - 1, dtype=bool)
     for key in keys:

@@ -86,6 +86,16 @@ class TestCount:
                 row = line.split(",")
                 assert row[6] == row[2] and row[7] == "0"
 
+    def test_fock_zero_tol_pins_addition_order(self, spec_file, capsys):
+        # --tol 0 counts the rounding residues of cancelled strings, so these two
+        # values pin the order of the additions in the operator build and in the
+        # butterfly (README); the default tolerance counts the same in any order
+        path = spec_file({**FOCK_DOUBLE_WELL, "qubits_per_boson": 11, "potential": [
+            {"coeff": 1.0, "exponents": [2]}, {"coeff": 1.0, "exponents": [4]}]})
+        for tol, expected in (("0", 36857), ("1e-12", 15291)):
+            code, out = run_cli(["count", path, "--tol", tol, "--format", "json"], capsys)
+            assert code == 0 and json.loads(out)["rows"][0]["n_pauli"] == expected
+
     def test_coordinate_pruned_columns(self, spec_file, capsys):
         path = spec_file({**ANHARMONIC, "qubits_per_boson": 14,
                           "potential": [{"coeff": 1.0, "exponents": [4]}]})
@@ -246,6 +256,27 @@ class TestTrotter:
                              "--steps", "4", "--verify", "--format", "json"], capsys)
         assert code == 0 and calls == [0.5]
         assert "halving_ratio" in json.loads(out)
+
+    def test_verify_builds_the_step_twice(self, spec_file, capsys, monkeypatch):
+        # the N-step error reuses the report's first step; only N/2 steps build again
+        import qboson.circuits as circuits
+        from qboson.simulate import trotter_error
+        dts = []
+        original = circuits.trotter_step
+
+        def counted(spec, dt, *args):
+            dts.append(dt)
+            return original(spec, dt, *args)
+
+        path = spec_file(ANHARMONIC)
+        monkeypatch.setattr(circuits, "trotter_step", counted)
+        code, out = run_cli(["trotter", path, "--time", "0.5", "--steps", "4", "--verify",
+                             "--format", "json"], capsys)
+        assert code == 0 and dts == [0.125, 0.25]
+        doc = json.loads(out)
+        spec = load_hamiltonian_spec(path)
+        assert doc["trotter_error"] == trotter_error(spec, 0.5, 4)
+        assert doc["trotter_error_half_steps"] == trotter_error(spec, 0.5, 2)
 
     def test_verify_cap_exit_3(self, spec_file, capsys):
         doc = dict(ANHARMONIC, qubits_per_boson=13,

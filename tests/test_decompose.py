@@ -66,12 +66,14 @@ class TestTensorized:
     @given(n=st.integers(1, 6), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_random_sparse_matches_oracle(self, n, data):
-        # arbitrary sparse complex matrices: non-Hermitian, and empty when no entries are drawn
+        # arbitrary sparse complex matrices: non-Hermitian, and empty when no entries are
+        # drawn; real and imaginary ones take the butterfly in real arithmetic
         dim = 1 << n
         value = st.floats(-1.0, 1.0, allow_nan=False)
         entries = data.draw(st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1),
                                                value, value), max_size=3 * dim))
-        op = SparseOperator.from_entries(dim, [(r, c, complex(re, im))
+        part = data.draw(st.sampled_from([(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)]))
+        op = SparseOperator.from_entries(dim, [(r, c, complex(re * part[0], im * part[1]))
                                                for r, c, re, im in entries])
         fast, oracle = coeff_table(decompose_tensorized(op)), coeff_table(decompose_trace(op))
         assert set(fast) == set(oracle)
@@ -99,6 +101,22 @@ class TestTensorized:
         assert coeff_table(batched) == coeff_table(whole)
         assert set(coeff_table(batched)) == set(coeff_table(decompose_trace(op, rel_tol=0.05)))
         assert np.array_equal(reconstruct(batched).to_dense(), rebuilt)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_empty_operator(self, n):
+        for op in (SparseOperator.zeros(1 << n), SparseOperator(1 << n, [0], [1], [1e-15])):
+            psum = decompose_tensorized(op)
+            assert psum.n_qubits == n and len(psum) == 0
+            assert reconstruct(psum).nnz == 0
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_imaginary_is_i_times_real(self, n):
+        # both run the butterfly on the same real numbers; powers of i multiply exactly
+        op = SparseOperator.from_dense(np.random.default_rng(n).standard_normal((1 << n, 1 << n)))
+        real, imaginary = decompose_tensorized(op), decompose_tensorized(1j * op)
+        assert np.array_equal(imaginary.x_words, real.x_words)
+        assert np.array_equal(imaginary.z_words, real.z_words)
+        assert np.array_equal(imaginary.coeffs, 1j * real.coeffs)
 
     def test_hermitian_coefficients_real(self):
         rng = np.random.default_rng(42)

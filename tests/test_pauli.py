@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qboson import (PauliSum, PauliTerm, count_strings, pauli_sum_from_text,
-                    pauli_sum_to_text, string_census)
+from qboson import (BasisChoice, HamiltonianSpec, PauliSum, PauliTerm, PolynomialPotential,
+                    TruncationConfig, count_strings, decompose_tensorized, fock_p,
+                    fock_potential, pauli_sum_from_text, pauli_sum_to_text, string_census)
 
 _SINGLE = {
     "I": np.eye(2),
@@ -191,19 +192,34 @@ class TestCensus:
             coeffs[(x, z)] = complex(rng.choice([0.0, 1e-9, 1.0]))
         psum = PauliSum(n, coeffs)
         for tol in (0.0, 1e-6):
-            by_length, y_counts, letters = {}, {}, {}
-            for t in psum.terms():
-                if abs(t.coefficient) <= tol:
-                    continue
-                by_length[t.weight] = by_length.get(t.weight, 0) + 1
-                y_counts.setdefault(t.weight, Counter())[t.label().count("Y")] += 1
-                tally = letters.setdefault(t.weight, Counter())
-                tally.update(ch for ch in t.label() if ch != "I")
-            census = string_census(psum, tol)
-            assert census.total == sum(by_length.values())
-            assert census.by_length == by_length
-            assert census.y_counts == y_counts
-            assert census.letters == letters
+            assert_census_matches_terms(psum, tol)
+
+    @pytest.mark.parametrize("q", [3, 6, 8])
+    def test_many_keys_x_y_rich(self, q):
+        # Fock decompositions: X/Y-rich strings over hundreds of (#Y, |x|, |z|) keys
+        spec = HamiltonianSpec(TruncationConfig(1, q), PolynomialPotential.one_boson(
+            {1: 0.3, 2: 1.0, 3: -0.7, 4: 1.0}), basis=BasisChoice.FOCK)
+        psum = decompose_tensorized(fock_potential(spec)) + decompose_tensorized(fock_p(1 << q))
+        for tol in (0.0, 1e-3):
+            assert_census_matches_terms(psum, tol)
+
+
+def assert_census_matches_terms(psum, tol):
+    """string_census against a per-term tally of the letters."""
+    by_length, y_counts, letters = {}, {}, {}
+    for t in psum.terms():
+        if abs(t.coefficient) <= tol:
+            continue
+        by_length[t.weight] = by_length.get(t.weight, 0) + 1
+        y_counts.setdefault(t.weight, Counter())[t.label().count("Y")] += 1
+        tally = letters.setdefault(t.weight, Counter())
+        tally.update(ch for ch in t.label() if ch != "I")
+    census = string_census(psum, tol)
+    assert census.total == sum(by_length.values())
+    assert census.by_length == by_length
+    assert census.y_counts == y_counts
+    assert census.letters == letters  # Counters compare missing keys as zero, so also:
+    assert all(k > 0 for c in census.letters.values() for k in c.values())
 
 
 class TestSerialization:
@@ -217,6 +233,19 @@ class TestSerialization:
         back = pauli_sum_from_text(text)
         for t in psum.terms():
             assert back.coefficient(t.x_mask, t.z_mask) == pytest.approx(t.coefficient)
+
+    @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 130])
+    def test_text_matches_term_labels(self, n):
+        # written from the mask columns, line for line what each term's label gives
+        rng = np.random.default_rng(n)
+        full = (1 << n) - 1
+        psum = PauliSum(n, {(int.from_bytes(rng.bytes(17), "little") & full,
+                             int.from_bytes(rng.bytes(17), "little") & full):
+                            complex(*rng.standard_normal(2)) for _ in range(50)})
+        lines = [f"{t.label()} {t.coefficient.real:.16e} {t.coefficient.imag:.16e}"
+                 for t in psum.terms()]
+        assert pauli_sum_to_text(psum) == "\n".join(
+            [f"# pauli-sum n_qubits={n} ordering=msb-left", *lines]) + "\n"
 
     def test_header_required(self):
         with pytest.raises(ValueError, match="header"):

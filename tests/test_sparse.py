@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qboson import PauliSum, SparseOperator
-from qboson.sparse import ZERO_TOL
+from qboson.sparse import ZERO_TOL, merge_rows
 
 # unit values make exact cancellations common; the floats cover general complex entries
 VALUES = st.one_of(st.sampled_from([1.0, -1.0, 1j, -1j]),
@@ -172,3 +172,32 @@ def test_cli_import_loads_no_scipy():
          "import qboson.cli, sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
         capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+@given(words=st.integers(1, 2), seed=st.integers(0, 2**32 - 1), size=st.integers(0, 80))
+@settings(max_examples=100, deadline=None)
+def test_first_key_sort_matches_lexsort(words, seed, size):
+    """Rows unique and ascending in every key but the first (decompose's (x, z)
+    order) take one stable argsort of the weight: the same rows, in the same
+    order, as ``np.lexsort`` on all keys."""
+    rng = np.random.default_rng(seed)
+    # few bits per word, so that weights tie often
+    x, z = (rng.integers(0, 8, size=(size, words), dtype=np.uint64) for _ in range(2))
+    rest = [*x.T[::-1], *z.T[::-1]]
+    order = np.lexsort(rest[::-1])
+    rest = [k[order] for k in rest]
+    distinct = np.concatenate(([True], np.any([k[1:] != k[:-1] for k in rest], axis=0)))[:size]
+    rest = [k[distinct] for k in rest]
+    weight = sum(np.bitwise_count(k) for k in rest).astype(np.uint8)
+    keys = [weight, *rest]
+    vals = rng.standard_normal(weight.size) + 1j * rng.standard_normal(weight.size)
+
+    want = np.lexsort(keys[::-1])
+    with mock.patch.object(np, "lexsort", side_effect=AssertionError("lexsort used")):
+        take, merged = merge_rows(keys, vals)
+    assert np.array_equal(np.arange(weight.size)[take], want)
+    assert merged.tobytes() == vals[want].tobytes()
+    # the same rows shuffled take the lexsort path, and agree
+    shuffle = rng.permutation(weight.size)
+    take, merged = merge_rows([k[shuffle] for k in keys], vals[shuffle])
+    assert np.array_equal(shuffle[take], want) and merged.tobytes() == vals[want].tobytes()
