@@ -2,7 +2,8 @@
 
 Subcommands: table1, count, fit, trotter, blockenc. Exit codes: 0 success,
 2 input error, 3 size cap exceeded, 4 verification failure beyond tolerance.
-CSV output is deterministic byte-for-byte for identical inputs.
+``main`` writes each report once, in --format, an exit-4 report included. CSV
+output is deterministic byte-for-byte for identical inputs.
 """
 from __future__ import annotations
 
@@ -37,28 +38,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _rows_to_csv(header: list[str], rows: list[list]) -> str:
+def _write(args, doc, header, rows) -> None:
+    """The one report writer: ``doc`` as JSON, or ``header`` and ``rows`` as CSV."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_table(header, rows, json_doc, args) -> None:
     if args.format == "json":
-        _emit(json.dumps(json_doc, indent=2, sort_keys=True) + "\n", args.out)
+        buf.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     else:
-        _emit(_rows_to_csv(header, rows), args.out)
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(buf.getvalue())
+    else:
+        sys.stdout.write(buf.getvalue())
 
 
 def _census_cell(census) -> str:
@@ -71,8 +64,10 @@ def _respec_q(spec: HamiltonianSpec, q: int) -> HamiltonianSpec:
 
 
 # -- subcommands --------------------------------------------------------------------
+# Each returns (doc, header, rows, failure): the JSON document, the CSV table, and
+# None or the message of a verification failure. `main` writes the report.
 
-def cmd_table1(args) -> int:
+def cmd_table1(args):
     """Fock-basis x/p string counts against the Q * 2**(Q-1) formula."""
     params = FockParams()
     header = ["Q", "Lambda", "n_pauli_x", "n_pauli_p", "formula", "match"]
@@ -83,12 +78,10 @@ def cmd_table1(args) -> int:
         np_ = count_strings(decompose_tensorized(fock_p(cutoff, params), args.tol))
         formula = q * (1 << (q - 1))
         rows.append([q, cutoff, nx, np_, formula, nx == np_ == formula])
-    doc = {"rows": [dict(zip(header, r)) for r in rows]}
-    _emit_table(header, rows, doc, args)
-    return 0
+    return {"rows": [dict(zip(header, r)) for r in rows]}, header, rows, None
 
 
-def cmd_count(args) -> int:
+def cmd_count(args):
     """Per-Q Pauli-string counts of the potential term in the spec's basis.
 
     On the coordinate route n_pauli and the census count the exact support;
@@ -106,24 +99,21 @@ def cmd_count(args) -> int:
     for q in range(q_lo, q_hi + 1):
         sq = _respec_q(spec, q)
         if spec.basis is BasisChoice.FOCK:
-            psum = decompose_tensorized(fock_potential(sq), args.tol)
-            raw = ""
+            census = string_census(decompose_tensorized(fock_potential(sq), args.tol))
+            # the butterfly pruned at --tol against the same peak: nothing is left to drop
+            raw, n_pruned, dropped = "", census.total, 0.0
         else:
             psum = expand_potential_zsum(sq)
+            census = string_census(psum)
             raw = raw_string_count(sq.potential, q)
-        census = string_census(psum)
-        n_all = count_strings(psum)
-        n_nontrivial = n_all - census.by_length.get(0, 0)
-        n_pruned = count_strings(psum.prune(args.tol))
-        rows.append([q, spec.basis.value, n_all, n_nontrivial, raw, _census_cell(census),
-                     n_pruned, psum.dropped_l1(args.tol)])
-    doc = {"spec": args.spec,
-           "rows": [dict(zip(header, r)) for r in rows]}
-    _emit_table(header, rows, doc, args)
-    return 0
+            n_pruned, dropped = count_strings(psum.prune(args.tol)), psum.dropped_l1(args.tol)
+        rows.append([q, spec.basis.value, census.total,
+                     census.total - census.by_length.get(0, 0), raw, _census_cell(census),
+                     n_pruned, dropped])
+    return {"spec": args.spec, "rows": [dict(zip(header, r)) for r in rows]}, header, rows, None
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args):
     """Fit (1/Q) ln N = a + (b + c ln Q)/Q to a Q,n_pauli series CSV."""
     try:
         with open(args.series) as fh:
@@ -139,19 +129,28 @@ def cmd_fit(args) -> int:
            "residual_rms": result.residual_rms,
            "covariance_diag": list(result.covariance_diag),
            "rows_fitted": len(series)}
-    _emit_table(header, [row], doc, args)
-    return 0
+    return doc, header, [row], None
 
 
-def cmd_trotter(args) -> int:
-    """Emit a Trotter-evolution circuit plus its per-layer gate-count report."""
+def cmd_trotter(args):
+    """A Trotter-evolution circuit plus its per-layer gate-count report."""
     spec = load_hamiltonian_spec(args.spec)
     circuit, report = trotter_evolution(spec, args.time, args.steps)
     if args.circuit_out:
         write_circuit(circuit, args.circuit_out)
     doc = report.to_dict()
     doc.update({"spec": args.spec, "time": args.time, "total_gates": len(circuit)})
-    verify_rows = []
+    rows = [["totals", "steps", report.steps],
+            ["totals", "rotations", report.rotations],
+            ["totals", "entangling", report.entangling],
+            ["totals", "hadamards", report.hadamards],
+            ["totals", "total", report.total],
+            ["strings", "potential_merged", report.potential_strings_merged],
+            ["strings", "potential_raw", report.potential_strings_raw]]
+    for layer, counter in report.layers.items():
+        for kind in sorted(counter):
+            rows.append([f"layer:{layer}", kind, counter[kind]])
+    failure = None
     if args.verify:
         # the errors at N and N/2 steps share the total time, so one reference
         # serves both; looked up on the module so that a wrapper installed on
@@ -161,38 +160,20 @@ def cmd_trotter(args) -> int:
         step.gates = circuit.gates[:len(circuit) // args.steps]
         err = trotter_error(spec, args.time, args.steps, exact=exact, step=step)
         doc["trotter_error"] = err
-        verify_rows.append(["trotter_error", args.steps, err])
-        if args.steps % 2 == 0 and args.steps >= 2:
+        rows.append(["verify", f"trotter_error:{args.steps}", err])
+        if args.steps % 2 == 0:
             err_half = trotter_error(spec, args.time, args.steps // 2, exact=exact)
             ratio = err / err_half if err_half > 0 else float("nan")
             doc["trotter_error_half_steps"] = err_half
             doc["halving_ratio"] = ratio
-            verify_rows.append(["trotter_error", args.steps // 2, err_half])
-            verify_rows.append(["halving_ratio", "", ratio])
+            rows.append(["verify", f"trotter_error:{args.steps // 2}", err_half])
+            rows.append(["verify", "halving_ratio:", ratio])
         if args.tol is not None and err > args.tol:
-            _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
-            raise VerificationError(f"trotter error {err:.3e} exceeds tol {args.tol:.3e}")
-    if args.format == "json":
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        header = ["section", "name", "value"]
-        rows = [["totals", "steps", report.steps],
-                ["totals", "rotations", report.rotations],
-                ["totals", "entangling", report.entangling],
-                ["totals", "hadamards", report.hadamards],
-                ["totals", "total", report.total],
-                ["strings", "potential_merged", report.potential_strings_merged],
-                ["strings", "potential_raw", report.potential_strings_raw]]
-        for layer, counter in report.layers.items():
-            for kind in sorted(counter):
-                rows.append([f"layer:{layer}", kind, counter[kind]])
-        for section, name, value in verify_rows:
-            rows.append(["verify", f"{section}:{name}", value])
-        _emit(_rows_to_csv(header, rows), args.out)
-    return 0
+            failure = f"trotter error {err:.3e} exceeds tol {args.tol:.3e}"
+    return doc, ["section", "name", "value"], rows, failure
 
 
-def cmd_blockenc(args) -> int:
+def cmd_blockenc(args):
     """Report lambda / term counts / ancillas from the plan; --verify checks the
     encoded block, summed from the plan's branches, against H / lambda."""
     spec = load_hamiltonian_spec(args.spec)
@@ -209,18 +190,13 @@ def cmd_blockenc(args) -> int:
         # select cost is dominated by the potential branch count
         "dominant_subspace": POTENTIAL if plan.n_potential >= plan.n_kinetic else KINETIC,
     }
+    failure = None
     if args.verify:
         err = verify_block_encoding(encoding, assemble_hamiltonian_matrix(spec))
         doc["verify_error"] = err
         if err > args.tol:
-            _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
-            raise VerificationError(f"block-encoding error {err:.3e} exceeds tol {args.tol:.3e}")
-    if args.format == "json":
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        rows = [[k, v] for k, v in doc.items()]
-        _emit(_rows_to_csv(["name", "value"], rows), args.out)
-    return 0
+            failure = f"block-encoding error {err:.3e} exceeds tol {args.tol:.3e}"
+    return doc, ["name", "value"], [[k, v] for k, v in doc.items()], failure
 
 
 # -- parser ---------------------------------------------------------------------------
@@ -303,7 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        doc, header, rows, failure = args.func(args)
+        _write(args, doc, header, rows)
+        if failure:
+            raise VerificationError(failure)
+        return 0
     except SpecFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -69,20 +69,19 @@ def _transformed_diagonals(dim: int, xs, index, vals):
         rows, n_bits = len(work), dim.bit_length() - 1
         low = n_bits // 2
         for bit in reversed(range(low, n_bits)):
-            _butterfly_level(work, bit, spare)
+            butterfly_level(work.reshape(-1, 2, 1 << bit), spare)
         work = work.reshape(rows, -1, 1 << low).transpose(0, 2, 1).reshape(rows, dim)
         for bit in reversed(range(n_bits - low, n_bits)):
-            _butterfly_level(work, bit, spare)
+            butterfly_level(work.reshape(-1, 2, 1 << bit), spare)
         work = work.reshape(rows, 1 << low, -1).transpose(0, 2, 1).reshape(rows, dim)
         yield keys[start:start + per], work
 
 
-def _butterfly_level(work, bit: int, spare) -> None:
-    """Entries i and i + 2**bit of each row (bit clear in i) to their sum and
-    difference, in place, in three passes through ``spare``."""
-    pairs = work.reshape(len(work), -1, 2, 1 << bit)
-    low, high = pairs[:, :, 0], pairs[:, :, 1]
-    diff = np.subtract(low, high, out=spare[:work.size // 2].reshape(low.shape))
+def butterfly_level(pairs, spare) -> None:
+    """``pairs[:, 0]`` and ``pairs[:, 1]`` of an ``(m, 2, k)`` view to their sum
+    and difference, in place, in three passes through ``spare``."""
+    low, high = pairs[:, 0], pairs[:, 1]
+    diff = np.subtract(low, high, out=spare[:low.size].reshape(low.shape))
     low += high
     high[...] = diff
 

@@ -320,7 +320,12 @@ def expand_potential_zsum(spec: HamiltonianSpec) -> PauliSum:
     one support shape at a time, so the result is the exact support: only
     strings whose coefficient is exactly zero (decided in rationals where
     monomials of opposite sign meet) are left out. The identity is kept.
+    A spec in another basis is refused, not expanded on the coordinate grid.
     """
+    if spec.basis is not BasisChoice.COORDINATE_QFT:
+        raise ValueError(f"the Z-sum expansion encodes basis {BasisChoice.COORDINATE_QFT.value!r} "
+                         f"only, not basis {spec.basis.value!r} with kinetic scheme "
+                         f"{spec.kinetic_scheme.value!r}")
     cfg = spec.config
     if spec.potential.terms and spec.potential.degree == 0:
         warnings.warn("potential has only constant terms; expansion is a pure phase")

@@ -14,6 +14,7 @@ from itertools import groupby
 import numpy as np
 
 from .circuits import Circuit, trotter_evolution
+from .decompose import butterfly_level
 from .errors import CapExceededError
 from .hamiltonian import HamiltonianSpec, potential_grid_diagonal
 # fourier_kernel_multi is no longer called here but stays a module attribute,
@@ -110,11 +111,7 @@ def _run_circuit(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
             continue
         for gate in gates:
             q = gate.qubits[0]
-            view = amps.reshape(dim >> (q + 1), 2, -1)  # axis 1 is qubit q's bit
-            a0, a1 = view[:, 0], view[:, 1]
-            diff = np.subtract(a0, a1, out=spare.reshape(a0.shape))
-            a0 += a1
-            a1[...] = diff
+            butterfly_level(amps.reshape(dim >> (q + 1), 2, -1), spare)  # axis 1: qubit q
             pending += 1
             if pending == _MAX_PENDING_H:  # keep the growth far from overflow
                 amps *= _hadamard_norm(pending)

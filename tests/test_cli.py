@@ -1,4 +1,5 @@
 """End-to-end CLI runs: outputs, formats, determinism, and exit codes."""
+import csv
 import json
 import math
 import subprocess
@@ -291,10 +292,39 @@ class TestTrotter:
                      "--verify", "--tol", "1e-12"])
         assert code == 4
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_verify_failure_report_follows_format(self, fmt, spec_file, capsys):
+        # the exit-4 report is the full report in --format, verify rows included
+        args = ["trotter", spec_file(ANHARMONIC), "--time", "1.0", "--steps", "4",
+                "--verify", "--format", fmt]
+        code, passed = run_cli(args, capsys)
+        assert code == 0
+        code = main(args + ["--tol", "1e-9"])
+        failed, err = capsys.readouterr()
+        assert code == 4 and failed == passed and "exceeds tol" in err
+        if fmt == "json":
+            assert {"trotter_error", "halving_ratio"} <= set(json.loads(failed))
+        else:
+            rows = list(csv.reader(failed.splitlines()))
+            assert rows[0] == ["section", "name", "value"]
+            assert [r[1] for r in rows if r[0] == "verify"] == [
+                "trotter_error:4", "trotter_error:2", "halving_ratio:"]
+
     def test_fock_spec_rejected(self, spec_file, capsys):
         path = spec_file(FOCK_DOUBLE_WELL)
         code = main(["trotter", path, "--time", "1.0", "--steps", "2"])
-        assert code == 2  # no radius, coordinate pathway unavailable
+        assert code == 2  # named as the basis, not as the missing radius
+        err = capsys.readouterr().err
+        assert "basis 'fock'" in err and "radius" not in err
+
+    @pytest.mark.parametrize("args", [["trotter", "--time", "1.0", "--steps", "2"],
+                                      ["blockenc"], ["blockenc", "--verify"]])
+    def test_fock_spec_with_radius_rejected(self, args, spec_file, capsys):
+        # a radius would let the coordinate route run; it must not stand in for Fock
+        path = spec_file(dict(FOCK_DOUBLE_WELL, radius=2.0))
+        code = main([args[0], path, *args[1:]])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and "'fock'" in err
 
 
 class TestBlockenc:
@@ -316,6 +346,19 @@ class TestBlockenc:
     def test_verify_fail_exit_4(self, spec_file, capsys):
         path = spec_file(ANHARMONIC)
         assert main(["blockenc", path, "--verify", "--tol", "1e-18"]) == 4
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_verify_failure_report_follows_format(self, fmt, spec_file, capsys):
+        args = ["blockenc", spec_file(ANHARMONIC), "--verify", "--format", fmt]
+        code, passed = run_cli(args, capsys)
+        assert code == 0
+        code, failed = run_cli(args + ["--tol", "1e-18"], capsys)
+        assert code == 4 and failed == passed
+        if fmt == "json":
+            assert json.loads(failed)["verify_error"] > 1e-18
+        else:
+            rows = dict(csv.reader(failed.splitlines()))
+            assert rows["name"] == "value" and float(rows["verify_error"]) > 1e-18
 
     def test_report_builds_no_select(self, spec_file, capsys):
         # B=2 Q=5: 10 system qubits and 8 ancillas, past the cap that only --verify needs

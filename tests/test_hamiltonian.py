@@ -112,6 +112,14 @@ class TestPotentialExpansion:
         spec = coord_spec(1, 2, 1.0, {})
         assert len(expand_potential_zsum(spec)) == 0
 
+    @pytest.mark.parametrize("radius", [None, 2.0])
+    def test_fock_basis_refused(self, radius):
+        spec = HamiltonianSpec(TruncationConfig(1, 3, radius),
+                               PolynomialPotential.one_boson({2: 1.0}), basis=BasisChoice.FOCK)
+        with pytest.raises(ValueError, match="basis 'fock' with kinetic scheme "
+                                             "'momentum-basis-diagonal'"):
+            expand_potential_zsum(spec)
+
 
 class TestKineticZsum:
     @pytest.mark.parametrize("qubits,zz_terms", [(2, 1), (3, 3), (4, 6), (8, 28)])

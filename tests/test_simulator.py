@@ -103,6 +103,17 @@ class TestFusedKernel:
         u = circuit_matrix(Circuit(1, [Gate("H", (0,))] * count))
         assert np.abs(u - np.linalg.matrix_power(h, count)).max() < 1e-12
 
+    @pytest.mark.parametrize("q", [0, 1, 3])
+    def test_hadamard_is_exact_sum_and_difference(self, q):
+        # one H is the decomposition butterfly's sum and difference, scaled by
+        # 1/sqrt(2) once, with no other rounding: equal bit for bit
+        rng = np.random.default_rng(q)
+        amps = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        out = apply_circuit(Circuit(4, [Gate("H", (q,))]), StateVector(4, amps)).amplitudes
+        pairs = amps.reshape(-1, 2, 1 << q)
+        expected = np.stack([pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]], axis=1)
+        assert np.array_equal(out, expected.reshape(-1) * (1.0 / math.sqrt(2.0)))
+
     def test_oracle_conventions(self):
         # the oracle itself against hand-written 2-qubit matrices (qubit 0 = bit 1)
         cnot01 = np.eye(4)[[0, 3, 2, 1]]  # control 0 set: |1> <-> |3>
