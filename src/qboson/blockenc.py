@@ -98,7 +98,10 @@ def build_plan(potential_sum: PauliSum, kinetic_sum: PauliSum | None = None) -> 
 
 
 def plan_from_spec(spec: HamiltonianSpec) -> LCUPlan:
-    return build_plan(expand_potential_zsum(spec), kinetic_zsum(spec))
+    """The kinetic sum is expanded first, so a spec off the coordinate route is
+    refused before the potential is; the plan still lists the potential first."""
+    kinetic = kinetic_zsum(spec)
+    return build_plan(expand_potential_zsum(spec), kinetic)
 
 
 def prepare_G(plan: LCUPlan) -> np.ndarray:

@@ -17,8 +17,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .hamiltonian import (HamiltonianSpec, KineticScheme, expand_potential_zsum,
-                          kinetic_zsum, raw_string_count)
+from .hamiltonian import (HamiltonianSpec, expand_potential_zsum, kinetic_zsum,
+                          raw_string_count)
 from .pauli import PauliSum, PauliTerm, mask_bits
 
 GATE_ARITY = {
@@ -301,50 +301,39 @@ def _rotation_layer(psum: PauliSum, dt: float) -> Circuit:
     return circ
 
 
-def trotter_step(spec: HamiltonianSpec, dt: float,
-                 include_kinetic: bool = True) -> tuple[Circuit, GateCountReport]:
+def trotter_step(spec: HamiltonianSpec, dt: float) -> tuple[Circuit, GateCountReport]:
     """One first-order step: potential rotations, QFT, kinetic rotations, QFT^-1.
 
-    Angles are coefficient * dt per string. The kinetic layer is skipped (with
-    its transforms) when ``include_kinetic`` is false or the scheme is not
-    momentum-diagonal-compatible.
+    Angles are coefficient * dt per string. The kinetic sum is expanded first,
+    so a spec off the coordinate route is refused before the potential is.
     """
-    if spec.kinetic_scheme is not KineticScheme.MOMENTUM_DIAGONAL:
-        raise ValueError("trotter_step needs the momentum-basis-diagonal scheme")
     cfg = spec.config
     n = cfg.total_qubits
+    kinetic = _rotation_layer(kinetic_zsum(spec), dt)
     pot_sum = expand_potential_zsum(spec)
-
-    potential = _rotation_layer(pot_sum, dt)
-    layers: dict[str, Circuit] = {"potential": potential}
-    if include_kinetic:
-        qft_all = Circuit(n)
-        per_boson = qft_circuit(cfg.qubits_per_boson, centered=True)
-        for a in range(cfg.bosons):
-            qft_all += per_boson.embedded(n, a * cfg.qubits_per_boson)
-        layers["qft"] = qft_all
-        layers["kinetic"] = _rotation_layer(kinetic_zsum(spec), dt)
-        layers["inverse_qft"] = qft_all.inverse()
+    qft_all = Circuit(n)
+    per_boson = qft_circuit(cfg.qubits_per_boson, centered=True)
+    for a in range(cfg.bosons):
+        qft_all += per_boson.embedded(n, a * cfg.qubits_per_boson)
+    layers = {"potential": _rotation_layer(pot_sum, dt), "qft": qft_all,
+              "kinetic": kinetic, "inverse_qft": qft_all.inverse()}
 
     circ = Circuit(n)
-    report_layers: dict[str, Counter] = {}
     for name in LAYER_NAMES:
-        if name in layers:
-            circ += layers[name]
-            report_layers[name] = layers[name].counts()
+        circ += layers[name]
     report = GateCountReport(
-        report_layers, steps=1,
+        {name: layers[name].counts() for name in LAYER_NAMES}, steps=1,
         potential_strings_merged=len(pot_sum),
         potential_strings_raw=raw_string_count(spec.potential, cfg.qubits_per_boson))
     return circ, report
 
 
-def trotter_evolution(spec: HamiltonianSpec, total_time: float, steps: int,
-                      include_kinetic: bool = True) -> tuple[Circuit, GateCountReport]:
+def trotter_evolution(spec: HamiltonianSpec, total_time: float,
+                      steps: int) -> tuple[Circuit, GateCountReport]:
     """``steps`` repetitions of trotter_step(spec, total_time / steps)."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    step, report = trotter_step(spec, total_time / steps, include_kinetic)
+    step, report = trotter_step(spec, total_time / steps)
     circ = Circuit(step.n_qubits)
     circ.gates = step.gates * steps
     return circ, report.scaled(steps)

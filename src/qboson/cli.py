@@ -168,7 +168,7 @@ def cmd_trotter(args):
             doc["halving_ratio"] = ratio
             rows.append(["verify", f"trotter_error:{args.steps // 2}", err_half])
             rows.append(["verify", "halving_ratio:", ratio])
-        if args.tol is not None and err > args.tol:
+        if args.tol is not None and not err <= args.tol:  # a NaN error fails too
             failure = f"trotter error {err:.3e} exceeds tol {args.tol:.3e}"
     return doc, ["section", "name", "value"], rows, failure
 
@@ -194,7 +194,7 @@ def cmd_blockenc(args):
     if args.verify:
         err = verify_block_encoding(encoding, assemble_hamiltonian_matrix(spec))
         doc["verify_error"] = err
-        if err > args.tol:
+        if not err <= args.tol:  # a NaN error fails too
             failure = f"block-encoding error {err:.3e} exceeds tol {args.tol:.3e}"
     return doc, ["name", "value"], [[k, v] for k, v in doc.items()], failure
 

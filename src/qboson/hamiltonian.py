@@ -126,6 +126,18 @@ class HamiltonianSpec:
             raise ValueError("finite-difference kinetic term requires a radius")
 
 
+def _require_route(spec: HamiltonianSpec, what: str, schemes=()) -> None:
+    """Refuse, in the spec file's words, a spec off the coordinate basis or, when
+    ``schemes`` are given, with a kinetic scheme outside them."""
+    if spec.basis is BasisChoice.COORDINATE_QFT and (not schemes or spec.kinetic_scheme in schemes):
+        return
+    wanted = f"basis {BasisChoice.COORDINATE_QFT.value!r}"
+    if schemes:
+        wanted += " with kinetic scheme " + " or ".join(repr(s.value) for s in schemes)
+    raise ValueError(f"{what} encodes {wanted} only, not basis {spec.basis.value!r} "
+                     f"with kinetic scheme {spec.kinetic_scheme.value!r}")
+
+
 # -- coordinate-basis expansions ------------------------------------------------
 # On Q qubits, x = alpha * sum_j w_j Z_j with w_j = 2**(j-Q) and
 # alpha = -step * 2**(Q-1) (step = dx, or dp for the momentum grid). In the
@@ -237,9 +249,10 @@ def _exact_factor(subset, q: int, d: int):
 
 
 def _zsum(config: TruncationConfig, step: float,
-          monomials: list[tuple[float, tuple[int, ...]]]) -> PauliSum:
+          monomials: list[tuple[float, tuple[int, ...]]], what: str) -> PauliSum:
     """Z-strings of sum_m c_m prod_a x_a**d_a with x_a the Q-term Z-sum of
-    grid spacing ``step``: exact support, exact zeros dropped."""
+    grid spacing ``step``: exact support, exact zeros dropped. A sum whose
+    coefficients may overflow is refused, naming ``what``."""
     q, n = config.qubits_per_boson, config.total_qubits
     # monomials with equal exponents share every string; math.fsum rounds their
     # exact sum once, so a group that cancels exactly leaves nothing behind
@@ -247,6 +260,13 @@ def _zsum(config: TruncationConfig, step: float,
     for coeff, powers in monomials:
         groups.setdefault(powers, []).append(coeff)
     alpha = math.ldexp(-step, q - 1)
+    try:  # |c| * |alpha|**d bounds the l1 norm of the strings of c * x**d
+        l1 = sum(abs(math.fsum(cs)) * abs(alpha) ** sum(p) for p, cs in groups.items())
+    except OverflowError:
+        l1 = math.inf
+    if l1 == math.inf:
+        raise ValueError(f"the Z-sum {what} of degree {max(map(sum, groups))} overflows at "
+                         f"radius {config.radius!r} with qubits_per_boson {q}")
     shapes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for powers, cs in groups.items():
         if math.fsum(cs):
@@ -322,16 +342,13 @@ def expand_potential_zsum(spec: HamiltonianSpec) -> PauliSum:
     monomials of opposite sign meet) are left out. The identity is kept.
     A spec in another basis is refused, not expanded on the coordinate grid.
     """
-    if spec.basis is not BasisChoice.COORDINATE_QFT:
-        raise ValueError(f"the Z-sum expansion encodes basis {BasisChoice.COORDINATE_QFT.value!r} "
-                         f"only, not basis {spec.basis.value!r} with kinetic scheme "
-                         f"{spec.kinetic_scheme.value!r}")
+    _require_route(spec, "the Z-sum potential")
     cfg = spec.config
     if spec.potential.terms and spec.potential.degree == 0:
         warnings.warn("potential has only constant terms; expansion is a pure phase")
     return _zsum(cfg, cfg.spacing,
                  [(m.coefficient, tuple(m.exponents.get(a, 0) for a in range(cfg.bosons)))
-                  for m in spec.potential.terms])
+                  for m in spec.potential.terms], "potential")
 
 
 def raw_string_count(potential: PolynomialPotential, qubits_per_boson: int) -> int:
@@ -345,13 +362,11 @@ def kinetic_zsum(spec: HamiltonianSpec) -> PauliSum:
     Squaring the Q-term Z-sum leaves the identity plus Q(Q-1)/2 ZZ couplings
     per boson; single-Z terms cancel in the square.
     """
-    if spec.kinetic_scheme is not KineticScheme.MOMENTUM_DIAGONAL:
-        raise ValueError(f"kinetic_zsum needs {KineticScheme.MOMENTUM_DIAGONAL}, "
-                         f"got {spec.kinetic_scheme}")
+    _require_route(spec, "the Z-sum kinetic term", (KineticScheme.MOMENTUM_DIAGONAL,))
     cfg = spec.config
     return _zsum(cfg, cfg.momentum_spacing,
                  [(0.5, tuple(2 * (b == a) for b in range(cfg.bosons)))
-                  for a in range(cfg.bosons)])
+                  for a in range(cfg.bosons)], "kinetic term")
 
 
 def _embed_per_boson(config: TruncationConfig, local: SparseOperator) -> SparseOperator:
@@ -368,9 +383,8 @@ def _embed_per_boson(config: TruncationConfig, local: SparseOperator) -> SparseO
 
 def kinetic_finite_difference(spec: HamiltonianSpec) -> SparseOperator:
     """(2I - S_Q) / dx**2 per boson, tensor-embedded into the full register."""
-    if spec.kinetic_scheme not in (KineticScheme.FINITE_DIFFERENCE_OPEN,
-                                   KineticScheme.FINITE_DIFFERENCE_PERIODIC):
-        raise ValueError("kinetic_finite_difference needs a finite-difference scheme")
+    _require_route(spec, "the finite-difference kinetic term",
+                   (KineticScheme.FINITE_DIFFERENCE_OPEN, KineticScheme.FINITE_DIFFERENCE_PERIODIC))
     periodic = spec.kinetic_scheme is KineticScheme.FINITE_DIFFERENCE_PERIODIC
     cfg = spec.config
     local = p2_finite_difference(cfg.qubits_per_boson, cfg.spacing, periodic)
@@ -410,11 +424,12 @@ def kinetic_grid_diagonal(spec: HamiltonianSpec) -> np.ndarray:
 
 # -- Fock-basis construction -----------------------------------------------------
 
-def _banded_powers(op: SparseOperator, degree: int) -> list[np.ndarray]:
+def _banded_powers(op: SparseOperator, degree: int, what: str = "the operator") -> list[np.ndarray]:
     """op**0 .. op**degree as bands (row r holds op**m[r, r + o - degree - 1] at
     column o) for a real op with entries only at (j, j +- 1). Each product adds
     op**m[r, c-1] op[c-1, c] + op**m[r, c+1] op[c+1, c] in the order of the
-    ``@`` row join and drops entries at or below ZERO_TOL, as ``@`` does."""
+    ``@`` row join and drops entries at or below ZERO_TOL, as ``@`` does. A
+    power that overflows is refused, naming ``what``, before its NaNs drop."""
     pad = degree + 1
     at = np.arange(op.dim)[:, None] + np.arange(1, 2 * pad)  # column + pad
     into = np.zeros((2, op.dim + 2 * pad))
@@ -424,7 +439,10 @@ def _banded_powers(op: SparseOperator, degree: int) -> list[np.ndarray]:
     powers[0][:, pad] = 1.0
     for _ in range(degree):
         band = np.zeros_like(powers[0])
-        band[:, 1:-1] = powers[-1][:, :-2] * left + powers[-1][:, 2:] * right
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            band[:, 1:-1] = powers[-1][:, :-2] * left + powers[-1][:, 2:] * right
+        if not np.isfinite(band).all():
+            raise ValueError(f"power {len(powers)} of {what} is not finite")
         powers.append(_drop_zeros(band))
     return powers
 
@@ -438,6 +456,11 @@ def _band_operator(band: np.ndarray) -> SparseOperator:
     return SparseOperator(len(band), rows, rows + o - len(band[0]) // 2, band[rows, o])
 
 
+def _fock_at(operator: str, spec: HamiltonianSpec) -> str:
+    params = spec.fock_params
+    return f"{operator} at fock: mass {params.mass!r}, frequency {params.frequency!r}"
+
+
 def fock_potential(spec: HamiltonianSpec) -> SparseOperator:
     """V evaluated on truncated Fock coordinate matrices (truncate, then multiply):
     one boson adds its monomials as bands, more bosons ``kron`` the powers."""
@@ -445,7 +468,8 @@ def fock_potential(spec: HamiltonianSpec) -> SparseOperator:
     if cfg.total_qubits > FOCK_TOTAL_QUBIT_CAP:
         raise CapExceededError(f"Fock-basis construction capped at {FOCK_TOTAL_QUBIT_CAP} "
                                f"total qubits, got {cfg.total_qubits}")
-    powers = _banded_powers(fock_x(cfg.cutoff, spec.fock_params), spec.potential.degree)
+    powers = _banded_powers(fock_x(cfg.cutoff, spec.fock_params), spec.potential.degree,
+                            _fock_at("x", spec))
     if cfg.bosons == 1:
         total = np.zeros_like(powers[0])
         for mono in spec.potential.terms:
@@ -462,15 +486,13 @@ def fock_potential(spec: HamiltonianSpec) -> SparseOperator:
     return total
 
 
-def fock_hamiltonian(spec: HamiltonianSpec, include_kinetic: bool = True) -> SparseOperator:
+def fock_hamiltonian(spec: HamiltonianSpec) -> SparseOperator:
     """Fock-basis H: the potential on fock_x plus sum_a p_a**2 / 2 from fock_p."""
     cfg = spec.config
-    total = fock_potential(spec)
-    if include_kinetic:
-        # p = i R with R real, so p**2 = -(R**2), bit for bit
-        p2 = _band_operator(-_banded_powers(-1j * fock_p(cfg.cutoff, spec.fock_params), 2)[2])
-        total = total + 0.5 * _embed_per_boson(cfg, p2)
-    return total
+    potential = fock_potential(spec)
+    # p = i R with R real, so p**2 = -(R**2), bit for bit
+    r2 = _banded_powers(-1j * fock_p(cfg.cutoff, spec.fock_params), 2, _fock_at("p", spec))[2]
+    return potential + 0.5 * _embed_per_boson(cfg, _band_operator(-r2))
 
 
 # -- spec files -------------------------------------------------------------------

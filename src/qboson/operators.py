@@ -82,6 +82,11 @@ class FockParams:
             raise ValueError("mass must be positive")
         if not self.frequency > 0:
             raise ValueError("frequency must be positive")
+        # the scales of fock_x and fock_p, 1/sqrt(2 m omega) and sqrt(m omega / 2)
+        m_omega = self.mass * self.frequency
+        if not (0 < 2.0 * m_omega < math.inf and 0 < m_omega / 2.0 < math.inf):
+            raise ValueError(f"fock: mass {self.mass!r} and frequency {self.frequency!r} make "
+                             "1/sqrt(2 m omega) or sqrt(m omega / 2) zero or infinite")
 
 
 def _centered_values(n_points: int, step: float) -> np.ndarray:

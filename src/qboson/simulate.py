@@ -170,8 +170,7 @@ def exact_propagator(hamiltonian, time: float) -> Propagator:
     return Propagator(time, (evecs * np.cos(phase)) @ vh - 1j * ((evecs * np.sin(phase)) @ vh))
 
 
-def assemble_hamiltonian_matrix(spec: HamiltonianSpec,
-                                include_kinetic: bool = True) -> np.ndarray:
+def assemble_hamiltonian_matrix(spec: HamiltonianSpec) -> np.ndarray:
     """Dense H: potential diagonal on the coordinate grid plus F^dag K F.
 
     K is the momentum-grid diagonal of sum_a p_a**2 / 2 and F the centered
@@ -191,18 +190,16 @@ def assemble_hamiltonian_matrix(spec: HamiltonianSpec,
         raise CapExceededError(
             f"assemble_hamiltonian_matrix capped at {MATRIX_QUBIT_CAP} qubits")
     h = np.diag(potential_grid_diagonal(spec))
-    if include_kinetic:
-        f = fourier_kernel(cfg.cutoff)
-        local = (f.conj().T @ (momentum_values(cfg)[:, None] ** 2 / 2.0 * f)).real
-        for a in range(cfg.bosons):
-            h += np.kron(np.eye(cfg.cutoff ** (cfg.bosons - 1 - a)),
-                         np.kron(local, np.eye(cfg.cutoff ** a)))
+    f = fourier_kernel(cfg.cutoff)
+    local = (f.conj().T @ (momentum_values(cfg)[:, None] ** 2 / 2.0 * f)).real
+    for a in range(cfg.bosons):
+        h += np.kron(np.eye(cfg.cutoff ** (cfg.bosons - 1 - a)),
+                     np.kron(local, np.eye(cfg.cutoff ** a)))
     return h
 
 
 def trotter_error(spec: HamiltonianSpec, total_time: float, steps: int,
-                  include_kinetic: bool = True, exact: Propagator | None = None,
-                  step: Circuit | None = None) -> float:
+                  exact: Propagator | None = None, step: Circuit | None = None) -> float:
     """max entrywise |U_trotter - U_exact| for the assembled Hamiltonian.
 
     U_trotter is one simulated step circuit (dt = total_time / steps) raised
@@ -216,13 +213,12 @@ def trotter_error(spec: HamiltonianSpec, total_time: float, steps: int,
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if exact is None:
-        exact = exact_propagator(
-            assemble_hamiltonian_matrix(spec, include_kinetic), total_time)
+        exact = exact_propagator(assemble_hamiltonian_matrix(spec), total_time)
     elif exact.time != total_time or exact.unitary.shape != (1 << n, 1 << n):
         raise ValueError(f"reference propagator (time {exact.time}, shape "
                          f"{exact.unitary.shape}) does not match time {total_time} "
                          f"on {n} qubits")
     if step is None:
-        step, _ = trotter_evolution(spec, total_time / steps, 1, include_kinetic)
+        step, _ = trotter_evolution(spec, total_time / steps, 1)
     u_trotter = np.linalg.matrix_power(circuit_matrix(step), steps)
     return float(np.abs(u_trotter - exact.unitary).max())

@@ -9,12 +9,12 @@ import time
 
 import numpy as np
 
-from qboson import (BasisChoice, FockParams, HamiltonianSpec, PolynomialPotential,
+from qboson import (BasisChoice, Circuit, FockParams, HamiltonianSpec, PolynomialPotential,
                     ScalingSeries, SparseOperator, TruncationConfig, block_encode,
                     assemble_hamiltonian_matrix, circuit_matrix, count_strings,
                     decompose_tensorized, decompose_trace, double_well_potential,
                     fit_scaling, fock_p, fock_potential, fock_x, fourier_kernel,
-                    kinetic_zsum, qft_circuit, reconstruct, shift_matrix,
+                    kinetic_zsum, potential_grid_diagonal, qft_circuit, reconstruct, shift_matrix,
                     string_census, trotter_error, trotter_step,
                     verify_block_encoding)
 from refdata import FOCK_XP_COUNTS, SHIFT_SECTORS
@@ -118,7 +118,12 @@ def test_trotter_order():
     free = HamiltonianSpec(TruncationConfig(1, 3, ANHARMONIC_RADIUS),
                            PolynomialPotential(1, ()))
     assert trotter_error(free, 1.0, 1) <= 1e-10        # V = 0: exact
-    assert trotter_error(spec, 1.0, 1, include_kinetic=False) <= 1e-10  # no kinetic
+    # no kinetic: the potential layer of a step is exp(-i V) on the grid, exactly
+    step, report = trotter_step(spec, 1.0)
+    potential = Circuit(step.n_qubits)
+    potential.gates = step.gates[:report.layer_total("potential")]
+    exact = np.diag(np.exp(-1j * potential_grid_diagonal(spec)))
+    assert np.abs(circuit_matrix(potential) - exact).max() <= 1e-10
 
 
 @criterion("block encoding: (<G|(x)I) U (|G>(x)I) = H/lambda to 1e-10; U unitary to 1e-9")

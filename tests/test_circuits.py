@@ -8,8 +8,8 @@ import scipy.linalg
 from qboson import (Circuit, Gate, HamiltonianSpec, KineticScheme, Monomial,
                     PauliSum, PauliTerm, PolynomialPotential, TruncationConfig,
                     circuit_from_text, circuit_matrix, circuit_to_text,
-                    fourier_kernel, qft_circuit, trotter_evolution, trotter_step,
-                    zstring_rotation)
+                    fourier_kernel, potential_grid_diagonal, qft_circuit,
+                    trotter_evolution, trotter_step, zstring_rotation)
 from qboson.circuits import _rotation_layer
 
 
@@ -214,10 +214,14 @@ class TestTrotterStep:
         assert report.layers["qft"]["H"] == 6
 
     def test_potential_layer_is_diagonal(self):
-        # the potential layer must commute with computational measurement
+        # the potential layer, the first gates of a step, must commute with
+        # computational measurement: it is exp(-i dt V) on the grid
         spec = anharmonic_spec()
-        u = circuit_matrix(trotter_step(spec, 0.2, include_kinetic=False)[0])
-        assert np.abs(u - np.diag(np.diag(u))).max() < 1e-10
+        step, report = trotter_step(spec, 0.2)
+        potential = Circuit(step.n_qubits)
+        potential.gates = step.gates[:report.layer_total("potential")]
+        u = circuit_matrix(potential)
+        assert np.abs(u - np.diag(np.exp(-0.2j * potential_grid_diagonal(spec)))).max() < 1e-10
 
     def test_report_totals_consistent(self):
         _, report = trotter_step(anharmonic_spec(), 0.1)

@@ -385,6 +385,95 @@ class TestBlockenc:
         assert doc["lambda"] == 16277609439096.596  # the sum in plan order, bit for bit
 
 
+# specs off the coordinate-qft + momentum-basis-diagonal route, radius or not
+OFF_ROUTE = {
+    "coordinate-finite-difference": dict(ANHARMONIC, kinetic_scheme="finite-difference-open"),
+    "fock-finite-difference": dict(ANHARMONIC, basis="fock",
+                                   kinetic_scheme="finite-difference-open"),
+    "fock-with-radius": dict(FOCK_DOUBLE_WELL, radius=2.0),
+    "fock": FOCK_DOUBLE_WELL,
+}
+# (spec, subcommands): Z-sum coefficients past the float range
+OVERFLOW = {
+    "x8-radius-1e300": (dict(ANHARMONIC, radius=1e300,
+                             potential=[{"coeff": 1.0, "exponents": [8]}]),
+                        ["count", "trotter", "blockenc", "blockenc --verify"]),
+    # the momentum grid's spacing overflows the kinetic term
+    "radius-1e-300": (dict(ANHARMONIC, radius=1e-300),
+                      ["trotter", "blockenc", "blockenc --verify"]),
+    "coeff-1e305": (dict(ANHARMONIC, radius=10.0,
+                         potential=[{"coeff": 1e305, "exponents": [4]}]),
+                    ["count", "trotter", "blockenc", "blockenc --verify"]),
+}
+# (fock parameters, degree of the potential): x would divide by zero, vanish, or
+# have a power past the float range
+BAD_FOCK = {
+    "zero-scale": ({"mass": 1e-320, "frequency": 1e-10}, 4),
+    "infinite-product": ({"mass": 1e300, "frequency": 1e300}, 4),
+    "power-overflows": ({"mass": 1e-300, "frequency": 1e-10}, 8),
+}
+
+
+def run_subcommand(command, path):
+    """``command`` is a subcommand with its flags; trotter gets a time and steps."""
+    name, *flags = command.split()
+    if name == "trotter":
+        flags += ["--time", "1.0", "--steps", "2"]
+    return main([name, path, *flags])
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("name", sorted(OFF_ROUTE))
+    def test_off_route_spec_one_message(self, name, spec_file, capsys):
+        # trotter, blockenc and blockenc --verify refuse in the same words, naming
+        # the spec's basis and scheme and the pair the route takes; count still runs
+        doc = OFF_ROUTE[name]
+        path = spec_file(doc)
+        messages = set()
+        for command in ["trotter", "blockenc", "blockenc --verify"]:
+            code = run_subcommand(command, path)
+            out, err = capsys.readouterr()
+            assert code == 2 and out == ""
+            messages.add(err)
+        (message,) = messages
+        assert ("basis 'coordinate-qft' with kinetic scheme 'momentum-basis-diagonal' only"
+                in message)
+        assert (f"not basis {doc.get('basis', 'coordinate-qft')!r} with kinetic scheme "
+                f"{doc.get('kinetic_scheme', 'momentum-basis-diagonal')!r}") in message
+        code, out = run_cli(["count", path], capsys)
+        assert code == 0 and len(out.splitlines()) == 2
+
+    @pytest.mark.parametrize("name", sorted(OVERFLOW))
+    def test_overflowing_zsum_exit_2(self, name, spec_file, capsys):
+        doc, commands = OVERFLOW[name]
+        path = spec_file(doc)
+        for command in commands:
+            code = run_subcommand(command, path)
+            out, err = capsys.readouterr()
+            assert code == 2 and out == "", command
+            assert "overflows at radius" in err and "qubits_per_boson 3" in err, command
+            assert "degree" in err
+
+    @pytest.mark.parametrize("name", sorted(BAD_FOCK))
+    def test_bad_fock_parameters_exit_2(self, name, spec_file, capsys):
+        params, degree = BAD_FOCK[name]
+        doc = dict(FOCK_DOUBLE_WELL, fock=params,
+                   potential=[{"coeff": 1.0, "exponents": [d]} for d in range(0, degree + 1, 2)])
+        code = main(["count", spec_file(doc)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "fock: mass" in err and "frequency" in err
+
+    @pytest.mark.parametrize("command,checker", [("trotter --verify --tol 1", "trotter_error"),
+                                                 ("blockenc --verify", "verify_block_encoding")])
+    def test_nan_verification_error_exit_4(self, command, checker, spec_file, capsys,
+                                           monkeypatch):
+        from qboson import cli
+        monkeypatch.setattr(cli, checker, lambda *args, **kwargs: float("nan"))
+        assert run_subcommand(command, spec_file(ANHARMONIC)) == 4
+        assert "nan exceeds tol" in capsys.readouterr().err
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run([sys.executable, "-m", "qboson.cli", "table1", "--q-max", "2"],

@@ -140,11 +140,18 @@ class TestKineticZsum:
         mat = reconstruct(kinetic_zsum(spec)).to_dense()
         assert np.abs(mat - np.diag(kinetic_grid_diagonal(spec))).max() < 1e-10
 
+    def test_fock_spec_with_radius_rejected(self):
+        spec = HamiltonianSpec(TruncationConfig(1, 2, 1.0),
+                               PolynomialPotential.one_boson({2: 1.0}), basis=BasisChoice.FOCK)
+        with pytest.raises(ValueError, match="not basis 'fock' with kinetic scheme "
+                                             "'momentum-basis-diagonal'"):
+            kinetic_zsum(spec)
+
     def test_wrong_scheme_rejected(self):
         spec = HamiltonianSpec(TruncationConfig(1, 2, 1.0),
                                PolynomialPotential.one_boson({2: 1.0}),
                                kinetic_scheme=KineticScheme.FINITE_DIFFERENCE_OPEN)
-        with pytest.raises(ValueError, match="MOMENTUM_DIAGONAL"):
+        with pytest.raises(ValueError, match="'finite-difference-open'"):
             kinetic_zsum(spec)
 
 
@@ -163,6 +170,17 @@ class TestFiniteDifference:
                                kinetic_scheme=KineticScheme.FINITE_DIFFERENCE_PERIODIC)
         mat = kinetic_finite_difference(spec).to_dense()
         assert mat[0, 3] != 0 and mat[3, 0] != 0
+
+    @pytest.mark.parametrize("basis,scheme", [(BasisChoice.COORDINATE_QFT,
+                                               KineticScheme.MOMENTUM_DIAGONAL),
+                                              (BasisChoice.FOCK,
+                                               KineticScheme.FINITE_DIFFERENCE_OPEN)])
+    def test_off_route_rejected(self, basis, scheme):
+        spec = HamiltonianSpec(TruncationConfig(1, 2, 1.0), PolynomialPotential.one_boson({}),
+                               kinetic_scheme=scheme, basis=basis)
+        with pytest.raises(ValueError, match=f"only, not basis '{basis.value}' with kinetic "
+                                             f"scheme '{scheme.value}'"):
+            kinetic_finite_difference(spec)
 
     def test_two_boson_embedding(self):
         spec = HamiltonianSpec(TruncationConfig(2, 1, 1.0),

@@ -206,6 +206,13 @@ class TestFockOperators:
         with pytest.raises(ValueError):
             FockParams(frequency=0.0)
 
+    @pytest.mark.parametrize("mass,frequency", [(1e-320, 1e-10), (1e300, 1e300),
+                                                (5e-324, 1.0), (1.7e308, 1.5)])
+    def test_scales_zero_or_infinite_refused(self, mass, frequency):
+        # 1/sqrt(2 m omega) or sqrt(m omega / 2) would be 0, infinite or a division by 0
+        with pytest.raises(ValueError, match="fock: mass .* and frequency"):
+            FockParams(mass, frequency)
+
 
 class TestFourierKernel:
     @pytest.mark.parametrize("n", [2, 4, 8, 32])

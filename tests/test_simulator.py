@@ -12,7 +12,8 @@ from qboson import (CapExceededError, Circuit, Gate, HamiltonianSpec, Monomial,
                     TruncationConfig, apply_circuit, assemble_hamiltonian_matrix,
                     circuit_matrix, exact_propagator, expand_potential_zsum,
                     fourier_kernel, fourier_kernel_multi, kinetic_zsum,
-                    qft_circuit, reconstruct, trotter_error, trotter_evolution)
+                    potential_grid_diagonal, qft_circuit, reconstruct, trotter_error,
+                    trotter_evolution, trotter_step)
 
 
 def anharmonic_spec(qubits=3, radius=2.0, coeffs=None):
@@ -260,7 +261,7 @@ class TestHamiltonianAssembly:
         k = reconstruct(kinetic_zsum(spec)).to_dense()
         fkf = f.conj().T @ k @ f
         assert np.abs(fkf.imag).max() < 1e-12
-        h = assemble_hamiltonian_matrix(spec) - assemble_hamiltonian_matrix(spec, False)
+        h = assemble_hamiltonian_matrix(spec) - np.diag(potential_grid_diagonal(spec))
         assert np.abs(h - fkf.real).max() < 1e-10
 
     def test_cap(self):
@@ -280,7 +281,7 @@ class TestHamiltonianAssembly:
         dense = (f.conj().T @ (kinetic_grid_diagonal(spec)[:, None] * f)).real
         h = assemble_hamiltonian_matrix(spec)
         assert h.dtype == np.float64
-        kinetic = h - assemble_hamiltonian_matrix(spec, include_kinetic=False)
+        kinetic = h - np.diag(potential_grid_diagonal(spec))
         assert np.abs(kinetic - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
@@ -291,7 +292,13 @@ class TestTrotterError:
             assert trotter_error(spec, 1.0, steps) < 1e-10
 
     def test_potential_only_exact(self):
-        assert trotter_error(anharmonic_spec(), 1.0, 1, include_kinetic=False) < 1e-10
+        # the potential layer, the first gates of a step, is exp(-i V) on the grid
+        spec = anharmonic_spec()
+        step, report = trotter_step(spec, 1.0)
+        potential = Circuit(step.n_qubits)
+        potential.gates = step.gates[:report.layer_total("potential")]
+        exact = np.diag(np.exp(-1j * potential_grid_diagonal(spec)))
+        assert np.abs(circuit_matrix(potential) - exact).max() < 1e-10
 
     def test_first_order_halving(self):
         spec = anharmonic_spec()
