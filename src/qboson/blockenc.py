@@ -18,9 +18,8 @@ from .errors import CapExceededError
 from .hamiltonian import HamiltonianSpec, expand_potential_zsum, kinetic_zsum
 from .operators import fourier_kernel_multi
 from .pauli import PauliSum, mask_words, string_entries
+from .simulate import MATRIX_QUBIT_CAP
 from .sparse import SparseOperator
-
-VERIFY_QUBIT_CAP = 14
 
 POTENTIAL = "potential"
 KINETIC = "kinetic"
@@ -171,10 +170,6 @@ class BlockEncoding:
     def n_system_qubits(self) -> int:
         return self.plan.n_system_qubits
 
-    @property
-    def total_qubits(self) -> int:
-        return self.plan.ancilla_count + self.n_system_qubits
-
     @cached_property
     def g_state(self) -> np.ndarray:
         return self.prepare[:, 0]
@@ -234,21 +229,27 @@ def _weighted_strings(plan: LCUPlan, part: slice, coeffs: np.ndarray, dim_sys: i
     return out.reshape(dim_sys, dim_sys)
 
 
+def _require_verifiable(plan: LCUPlan) -> None:
+    """The check forms system-size matrices and prepare's ancilla-size one:
+    each register is capped on its own, before anything of its size exists."""
+    for register, qubits in (("system", plan.n_system_qubits), ("ancilla", plan.ancilla_count)):
+        if qubits > MATRIX_QUBIT_CAP:
+            raise CapExceededError(f"block-encoding verification capped at {MATRIX_QUBIT_CAP} "
+                                   f"{register} qubits, got {qubits}")
+
+
 def block_encode(spec: HamiltonianSpec) -> BlockEncoding:
     """Expand the Hamiltonian, plan and prepare; select is built on demand."""
     plan = plan_from_spec(spec)
-    if plan.ancilla_count + plan.n_system_qubits > VERIFY_QUBIT_CAP:
-        raise CapExceededError(
-            f"block encoding capped at {VERIFY_QUBIT_CAP} total qubits")
+    _require_verifiable(plan)
     return BlockEncoding(plan, prepare_G(plan), fourier_kernel_multi(spec.config))
 
 
 def verify_block_encoding(encoding: BlockEncoding, hamiltonian) -> float:
     """max entrywise |(<G| x I) U (|G> x I) - H / lambda|, from the branches."""
+    _require_verifiable(encoding.plan)
     h = hamiltonian.to_dense() if isinstance(hamiltonian, SparseOperator) else np.asarray(hamiltonian)
     dim_sys = 1 << encoding.n_system_qubits
     if h.shape != (dim_sys, dim_sys):
         raise ValueError(f"Hamiltonian shape {h.shape} does not match system dim {dim_sys}")
-    if encoding.total_qubits > VERIFY_QUBIT_CAP:
-        raise CapExceededError(f"verification capped at {VERIFY_QUBIT_CAP} total qubits")
     return float(np.abs(encoding.branch_block() - h / encoding.plan.lam).max())

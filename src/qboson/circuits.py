@@ -111,12 +111,17 @@ class Circuit:
 # -- serialization: one gate per line, "<KIND> <qubits...> [angle]" ---------------
 
 def circuit_to_text(circuit: Circuit) -> str:
+    # a Trotter circuit repeats its step's Gate objects: each is formatted once
+    text: dict[int, str] = {}
     lines = [f"# circuit n_qubits={circuit.n_qubits}"]
     for g in circuit:
-        parts = [g.kind, *map(str, g.qubits)]
-        if g.angle is not None:
-            parts.append(f"{g.angle:.16e}")
-        lines.append(" ".join(parts))
+        line = text.get(id(g))
+        if line is None:
+            parts = [g.kind, *map(str, g.qubits)]
+            if g.angle is not None:
+                parts.append(f"{g.angle:.16e}")
+            line = text[id(g)] = " ".join(parts)
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
@@ -286,10 +291,15 @@ class GateCountReport:
 
 def _rotation_layer(psum: PauliSum, dt: float) -> Circuit:
     """One ``zstring_rotation`` per string of a Z-sum, angle c.real * dt, in
-    the sum's order, read from its mask columns (x masks are ignored)."""
+    the sum's order, read from its mask columns (x masks are ignored). An RZ
+    turns by twice its string's angle; where that overflows, the layer is
+    refused before any angle is formed."""
+    peak = float(np.abs(psum.coeffs.real).max(initial=0.0))
+    if not math.isfinite(peak):
+        raise ValueError("rotation coefficients must be finite")
+    if not math.isfinite(2.0 * peak * abs(dt)):
+        raise OverflowError(f"2 * coefficient {peak!r} * dt {dt!r} is not finite")
     angles = psum.coeffs.real * dt
-    if not np.isfinite(angles).all():
-        raise ValueError("angle must be finite")
     string, support = np.nonzero(mask_bits(psum.z_words, psum.n_qubits))  # ascending qubits
     ends = np.searchsorted(string, np.arange(1, len(psum) + 1)).tolist()
     support, cnots = support.tolist(), {}

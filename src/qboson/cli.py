@@ -18,7 +18,7 @@ import sys
 
 from .blockenc import (KINETIC, POTENTIAL, block_encode, plan_from_spec,
                        verify_block_encoding)
-from .circuits import Circuit, trotter_evolution, write_circuit
+from .circuits import trotter_evolution, write_circuit
 from .decompose import decompose_tensorized
 from .errors import CapExceededError, SpecFileError, VerificationError
 from .hamiltonian import (BasisChoice, HamiltonianSpec, expand_potential_zsum,
@@ -133,9 +133,21 @@ def cmd_fit(args):
 
 
 def cmd_trotter(args):
-    """A Trotter-evolution circuit plus its per-layer gate-count report."""
+    """A Trotter-evolution circuit plus its per-layer gate-count report.
+
+    --verify simulates the report's first step layer by layer; the N/2-step
+    error uses the same step with its rotation angles doubled.
+    """
     spec = load_hamiltonian_spec(args.spec)
-    circuit, report = trotter_evolution(spec, args.time, args.steps)
+    try:
+        circuit, report = trotter_evolution(spec, args.time, args.steps)
+        step = half = None
+        if args.verify:
+            step = simulate.layered_step(circuit, report, spec.config.qubits_per_boson)
+            half = step.doubled() if args.steps % 2 == 0 else None
+    except OverflowError as exc:
+        raise SpecFileError(f"--time {args.time!r} over --steps {args.steps} overflows a "
+                            f"rotation angle of {args.spec}: {exc}") from None
     if args.circuit_out:
         write_circuit(circuit, args.circuit_out)
     doc = report.to_dict()
@@ -156,13 +168,11 @@ def cmd_trotter(args):
         # serves both; looked up on the module so that a wrapper installed on
         # simulate.exact_propagator (perfbench/tracing.py) sees this call
         exact = simulate.exact_propagator(assemble_hamiltonian_matrix(spec), args.time)
-        step = Circuit(circuit.n_qubits)  # the report's first step, gates checked
-        step.gates = circuit.gates[:len(circuit) // args.steps]
         err = trotter_error(spec, args.time, args.steps, exact=exact, step=step)
         doc["trotter_error"] = err
         rows.append(["verify", f"trotter_error:{args.steps}", err])
-        if args.steps % 2 == 0:
-            err_half = trotter_error(spec, args.time, args.steps // 2, exact=exact)
+        if half is not None:
+            err_half = trotter_error(spec, args.time, args.steps // 2, exact=exact, step=half)
             ratio = err / err_half if err_half > 0 else float("nan")
             doc["trotter_error_half_steps"] = err_half
             doc["halving_ratio"] = ratio

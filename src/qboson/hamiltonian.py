@@ -249,10 +249,13 @@ def _exact_factor(subset, q: int, d: int):
 
 
 def _zsum(config: TruncationConfig, step: float,
-          monomials: list[tuple[float, tuple[int, ...]]], what: str) -> PauliSum:
+          monomials: list[tuple[float, tuple[int, ...]]], what: str,
+          vanishing_ok: bool = False) -> PauliSum:
     """Z-strings of sum_m c_m prod_a x_a**d_a with x_a the Q-term Z-sum of
     grid spacing ``step``: exact support, exact zeros dropped. A sum whose
-    coefficients may overflow is refused, naming ``what``."""
+    coefficients may overflow is refused, naming ``what``; so is a nonzero
+    monomial whose scale |c| |alpha|**d underflows to zero, unless
+    ``vanishing_ok``."""
     q, n = config.qubits_per_boson, config.total_qubits
     # monomials with equal exponents share every string; math.fsum rounds their
     # exact sum once, so a group that cancels exactly leaves nothing behind
@@ -261,12 +264,16 @@ def _zsum(config: TruncationConfig, step: float,
         groups.setdefault(powers, []).append(coeff)
     alpha = math.ldexp(-step, q - 1)
     try:  # |c| * |alpha|**d bounds the l1 norm of the strings of c * x**d
-        l1 = sum(abs(math.fsum(cs)) * abs(alpha) ** sum(p) for p, cs in groups.items())
+        scales = [abs(math.fsum(cs)) * abs(alpha) ** sum(p) for p, cs in groups.items()]
     except OverflowError:
-        l1 = math.inf
-    if l1 == math.inf:
+        scales = [math.inf]
+    if sum(scales) == math.inf:
         raise ValueError(f"the Z-sum {what} of degree {max(map(sum, groups))} overflows at "
                          f"radius {config.radius!r} with qubits_per_boson {q}")
+    for (powers, cs), scale in zip(groups.items(), scales):
+        if scale == 0.0 and math.fsum(cs) and not vanishing_ok:
+            raise ValueError(f"the Z-sum {what} of degree {sum(powers)} underflows to zero at "
+                             f"radius {config.radius!r} with qubits_per_boson {q}")
     shapes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for powers, cs in groups.items():
         if math.fsum(cs):
@@ -360,13 +367,16 @@ def kinetic_zsum(spec: HamiltonianSpec) -> PauliSum:
     """sum_a p_a**2 / 2 as momentum-basis Z-strings.
 
     Squaring the Q-term Z-sum leaves the identity plus Q(Q-1)/2 ZZ couplings
-    per boson; single-Z terms cancel in the square.
+    per boson; single-Z terms cancel in the square. Its coefficients vanish
+    only past a radius of about 1e160, where a potential of degree 2 or more
+    overflows: that refusal, which names the radius too, is left to the
+    potential's expansion.
     """
     _require_route(spec, "the Z-sum kinetic term", (KineticScheme.MOMENTUM_DIAGONAL,))
     cfg = spec.config
     return _zsum(cfg, cfg.momentum_spacing,
                  [(0.5, tuple(2 * (b == a) for b in range(cfg.bosons)))
-                  for a in range(cfg.bosons)], "kinetic term")
+                  for a in range(cfg.bosons)], "kinetic term", vanishing_ok=True)
 
 
 def _embed_per_boson(config: TruncationConfig, local: SparseOperator) -> SparseOperator:
@@ -472,18 +482,31 @@ def fock_potential(spec: HamiltonianSpec) -> SparseOperator:
                             _fock_at("x", spec))
     if cfg.bosons == 1:
         total = np.zeros_like(powers[0])
-        for mono in spec.potential.terms:
+        for i, mono in enumerate(spec.potential.terms):
             if abs(mono.coefficient) > ZERO_TOL:  # as its 1x1 operator in the kron chain
-                total = _drop_zeros(total + _drop_zeros(mono.coefficient * powers[mono.degree]))
+                with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+                    total = _drop_zeros(total + _drop_zeros(mono.coefficient * powers[mono.degree]))
+                _require_finite(total, i, spec)
         return _band_operator(total)
     powers = [_band_operator(band) for band in powers]
     total = SparseOperator.zeros(cfg.cutoff ** cfg.bosons)
-    for mono in spec.potential.terms:
-        op = SparseOperator.from_entries(1, [(0, 0, mono.coefficient)])
-        for a in range(cfg.bosons - 1, -1, -1):  # high boson first, boson 0 least significant
-            op = op.kron(powers[mono.exponents.get(a, 0)])
-        total = total + op
+    for i, mono in enumerate(spec.potential.terms):
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            op = SparseOperator.from_entries(1, [(0, 0, mono.coefficient)])
+            for a in range(cfg.bosons - 1, -1, -1):  # high boson first, boson 0 least significant
+                op = op.kron(powers[mono.exponents.get(a, 0)])
+            total = total + op
+        _require_finite(total.vals, i, spec)
     return total
+
+
+def _require_finite(values: np.ndarray, term: int, spec: HamiltonianSpec) -> None:
+    """Refuse a Fock potential that stopped being finite at potential term ``term``."""
+    if not np.isfinite(values).all():
+        mono = spec.potential.terms[term]
+        raise ValueError(f"potential term {term} (coeff {mono.coefficient!r}, degree "
+                         f"{mono.degree}) is not finite on the Fock basis at "
+                         f"qubits_per_boson {spec.config.qubits_per_boson}")
 
 
 def fock_hamiltonian(spec: HamiltonianSpec) -> SparseOperator:

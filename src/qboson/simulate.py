@@ -3,7 +3,8 @@
 Amplitudes are dense and no per-gate 2**n matrix is formed: each run of
 permutation/phase gates is fused into one row gather, and each H is a
 butterfly on a reshaped view. Qubit j addresses the 2**j bit of the basis
-index.
+index. A Trotter step is simulated layer by layer (``layered_step``): each
+diagonal layer as one phase vector, each boson's QFT as one small unitary.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .circuits import Circuit, trotter_evolution
+from .circuits import LAYER_NAMES, Circuit, GateCountReport, trotter_evolution
 from .decompose import butterfly_level
 from .errors import CapExceededError
 from .hamiltonian import HamiltonianSpec, potential_grid_diagonal
@@ -46,43 +47,67 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def _fused_run(gates, dim: int) -> tuple[np.ndarray | None, np.ndarray]:
-    """One run of non-H gates as ``(src, phase)``: the run maps psi to
-    ``phase * psi[src]``; ``src`` is None when the run permutes nothing.
+def _fused_angles(gates, n: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """One run of non-H gates on n qubits as ``(pos, theta)``: basis state j
+    ends at ``pos[j]`` (``pos`` is None when the run permutes nothing) with
+    phase ``exp(i theta[j])``.
 
-    ``pos[j]`` follows basis state j through the permutations with bit
-    arithmetic, and ``angle[j]`` sums the phases it picks up on the way, so a
-    gate costs O(dim) and nothing is gathered until the run ends.
+    The run's permutation is affine in the index bits, so it is followed on
+    masks: bit q of the position of state j is the parity of ``j & masks[q]``
+    xor bit q of ``flips``, and each CNOT, X or SWAP is an integer operation.
+    Each phase gate records the (mask, flip) of the bits it reads with its
+    angle, and theta sums angle * (product of those bits) over the index
+    vector once per distinct set of bits, in gate order.
     """
-    pos = np.arange(dim)
-    angle = np.zeros(dim)
+    masks, flips = [1 << q for q in range(n)], 0
+    weights: dict[tuple, float] = {}  # the bits a phase reads -> its angle
     const = 0.0
     for gate in gates:
         kind, qubits = gate.kind, gate.qubits
         if kind == "PHASE":
             const += gate.angle
-        elif kind == "RZ":
-            angle += gate.angle * ((pos >> qubits[0]) & 1)
-            const -= 0.5 * gate.angle
-        elif kind == "DIAGPHASE":
-            angle += gate.angle * ((pos >> qubits[0]) & 1)
-        elif kind == "CPHASE":
-            angle += gate.angle * ((pos >> qubits[0]) & (pos >> qubits[1]) & 1)
+        elif kind in ("RZ", "DIAGPHASE", "CPHASE"):
+            bits = tuple((masks[q], (flips >> q) & 1) for q in qubits)
+            weights[bits] = weights.get(bits, 0.0) + gate.angle
+            if kind == "RZ":
+                const -= 0.5 * gate.angle
         elif kind == "X":
-            pos ^= 1 << qubits[0]
+            flips ^= 1 << qubits[0]
         elif kind == "CNOT":
-            pos ^= ((pos >> qubits[0]) & 1) << qubits[1]
+            c, t = qubits
+            masks[t] ^= masks[c]
+            flips ^= ((flips >> c) & 1) << t
         elif kind == "SWAP":
             a, b = qubits
-            flip = ((pos >> a) ^ (pos >> b)) & 1
-            pos ^= (flip << a) | (flip << b)
-        else:  # pragma: no cover - H ends a run; Gate validates kinds
-            raise ValueError(f"unknown gate kind {kind!r}")
-    phase = np.exp(1j * (angle + const))
-    if np.array_equal(pos, np.arange(dim)):
+            masks[a], masks[b] = masks[b], masks[a]
+            flips ^= (((flips >> a) ^ (flips >> b)) & 1) * ((1 << a) | (1 << b))
+        else:  # H ends a run; Gate validates kinds
+            raise ValueError(f"gate kind {kind!r} is not a permutation or a phase")
+    idx = np.arange(1 << n)
+    theta = np.zeros(1 << n)
+    for bits, angle in weights.items():
+        read = 1
+        for mask, flip in bits:
+            read = read & ((np.bitwise_count(idx & mask) & 1) ^ flip)
+        theta += angle * read
+    theta += const
+    if flips == 0 and all(m == 1 << q for q, m in enumerate(masks)):
+        return None, theta
+    pos = np.array([flips])
+    for b in range(n):  # the states with bit b set move by the image of bit b
+        pos = np.concatenate([pos, pos ^ sum(((m >> b) & 1) << q for q, m in enumerate(masks))])
+    return pos, theta
+
+
+def _fused_run(gates, n: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """One run of non-H gates as ``(src, phase)``: the run maps psi to
+    ``phase * psi[src]``; ``src`` is None when the run permutes nothing."""
+    pos, theta = _fused_angles(gates, n)
+    phase = np.exp(1j * theta)
+    if pos is None:
         return None, phase
     src = np.empty_like(pos)
-    src[pos] = np.arange(dim)
+    src[pos] = np.arange(len(pos))
     return src, phase[src]
 
 
@@ -101,7 +126,7 @@ def _run_circuit(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
     pending = 0  # butterflies not yet normalised
     for is_h, gates in groupby(circuit, key=lambda g: g.kind == "H"):
         if not is_h:
-            src, phase = _fused_run(gates, dim)
+            src, phase = _fused_run(gates, circuit.n_qubits)
             if pending:
                 phase *= _hadamard_norm(pending)
                 pending = 0
@@ -176,14 +201,14 @@ def assemble_hamiltonian_matrix(spec: HamiltonianSpec) -> np.ndarray:
     K is the momentum-grid diagonal of sum_a p_a**2 / 2 and F the centered
     Fourier kernel on all bosons. F is a Kronecker product of one kernel f
     per boson and K a sum of one-boson terms, so F^dag K F is the sum over
-    bosons of f^dag (p**2/2) f, Kronecker-embedded with identities on the
-    other bosons as ``hamiltonian._embed_per_boson`` embeds its sparse
-    kernels (a dense kernel is kept dense here: at 12 qubits on one boson
-    its coordinate list would take three times the memory). Both grids are
-    symmetric about 0 and p**2 is even, so that kernel is real; its
-    imaginary part is rounding and is dropped, which lets
-    ``exact_propagator`` diagonalize in real arithmetic. Serves as the
-    reference for Trotter and block-encoding verification.
+    bosons of f^dag (p**2/2) f on that boson's digits, with the identity on
+    the others: entry (i, j) of that block is added where the two indices
+    differ in boson a's digits only, through a view of H as
+    (high, digit, low) x (high, digit, low). Both grids are symmetric about 0
+    and p**2 is even, so that kernel is real; its imaginary part is rounding
+    and is dropped, which lets ``exact_propagator`` diagonalize in real
+    arithmetic. Serves as the reference for Trotter and block-encoding
+    verification.
     """
     cfg = spec.config
     if cfg.total_qubits > MATRIX_QUBIT_CAP:
@@ -193,19 +218,158 @@ def assemble_hamiltonian_matrix(spec: HamiltonianSpec) -> np.ndarray:
     f = fourier_kernel(cfg.cutoff)
     local = (f.conj().T @ (momentum_values(cfg)[:, None] ** 2 / 2.0 * f)).real
     for a in range(cfg.bosons):
-        h += np.kron(np.eye(cfg.cutoff ** (cfg.bosons - 1 - a)),
-                     np.kron(local, np.eye(cfg.cutoff ** a)))
+        high, low = cfg.cutoff ** (cfg.bosons - 1 - a), cfg.cutoff ** a
+        hi, lo = np.ogrid[:high, :low]
+        h.reshape(high, cfg.cutoff, low, high, cfg.cutoff, low)[hi, :, lo, hi, :, lo] += local
     return h
 
 
+# Up to this many qubits per boson a QFT layer runs as one matmul per boson, at
+# 2**Q multiply-adds per entry; past it (one boson, Q = 7..12, under the matrix
+# cap) its gates run on the full register, in about 4Q array passes
+WINDOW_QUBIT_CAP = 6
+# one pass over the array (a butterfly, a row gather or scaling) costs about as
+# much as this many multiply-adds per entry of a window matmul
+_PASS_COST = 16
+
+
+class LayeredStep:
+    """One Trotter step as the action of each of its layers, in step order.
+
+    A diagonal layer (potential, kinetic) is its phase angles ``theta``: it
+    maps psi to exp(i theta) psi. A QFT layer is a tuple of ``(shift, u)``
+    windows, the unitary u of one boson's gates acting on the qubits from
+    ``shift`` on, or a ``Circuit`` whose gates run on the full register.
+    ``peak_angle`` is the largest |angle| of a diagonal layer's gates.
+    """
+
+    __slots__ = ("n_qubits", "layers", "peak_angle")
+
+    def __init__(self, n_qubits: int, layers: tuple, peak_angle: float):
+        self.n_qubits, self.layers, self.peak_angle = n_qubits, layers, peak_angle
+
+    def doubled(self) -> "LayeredStep":
+        """The same step at twice the time step: each rotation angle is c * dt,
+        and doubling is exact in binary, so every diagonal phase doubles."""
+        with np.errstate(over="ignore"):  # refused just below
+            layers = tuple(2.0 * layer if isinstance(layer, np.ndarray) else layer
+                           for layer in self.layers)
+        if not (math.isfinite(2.0 * self.peak_angle) and all(
+                np.isfinite(layer).all() for layer in layers if isinstance(layer, np.ndarray))):
+            raise OverflowError(f"the doubled rotation angles (2 * {self.peak_angle!r} "
+                                f"at most per gate) are not finite")
+        return LayeredStep(self.n_qubits, layers, 2.0 * self.peak_angle)
+
+    def apply(self, amps: np.ndarray, spare: np.ndarray) -> None:
+        """The step, in place, on the rows of ``amps`` (shape ``(2**n, batch)``,
+        C-contiguous); ``spare``, of the same shape, holds the window products."""
+        dim, work = amps.shape[0], amps
+        for layer in self.layers:
+            if isinstance(layer, np.ndarray):
+                work *= np.exp(1j * layer)[:, None]
+            elif isinstance(layer, Circuit):
+                work[...] = _run_circuit(layer, work)
+            else:  # axis 1 of each view holds one window's qubits
+                for shift, u in layer:
+                    shape = (dim // (len(u) << shift), len(u), -1)
+                    np.matmul(u, work.reshape(shape), out=spare.reshape(shape))
+                    work, spare = spare, work
+        if work is not amps:
+            amps[...] = work
+
+    def power(self, steps: int) -> np.ndarray:
+        """The step's unitary raised to ``steps``: the layers applied ``steps``
+        times, or, where that costs more, once and then raised by repeated
+        squaring."""
+        dim = 1 << self.n_qubits
+        unitary = np.eye(dim, dtype=np.complex128)
+        spare = np.empty_like(unitary)
+        per_entry = sum(sum(len(u) for _, u in layer) if isinstance(layer, tuple)
+                        else _PASS_COST * _passes(layer) for layer in self.layers)
+        steps = int(steps)
+        squarings = steps.bit_length() + steps.bit_count() - 2  # matmuls of matrix_power
+        if (steps - 1) * per_entry <= squarings * dim:
+            for _ in range(steps):
+                self.apply(unitary, spare)
+            return unitary
+        self.apply(unitary, spare)
+        return np.linalg.matrix_power(unitary, steps)
+
+
+def _passes(layer) -> int:
+    """Array passes of one layer: one per H and per run of other gates."""
+    if not isinstance(layer, Circuit):
+        return 1  # a diagonal layer is one row scaling
+    return sum(len(list(gates)) if is_h else 1
+               for is_h, gates in groupby(layer, key=lambda g: g.kind == "H"))
+
+
+def layered_step(circuit: Circuit, report: GateCountReport,
+                 qubits_per_boson: int) -> LayeredStep:
+    """The first step of a Trotter circuit, cut into its layers by the report's
+    per-layer gate counts.
+
+    Each diagonal layer is one fused pass over the basis index. Each QFT layer
+    is simulated once per boson on that boson's own qubits, with its
+    zero-qubit PHASE gates folded into the first window; past
+    WINDOW_QUBIT_CAP qubits per boson, or when a gate spans two bosons, its
+    gates run on the full register instead.
+    """
+    n, q = circuit.n_qubits, qubits_per_boson
+    if n > MATRIX_QUBIT_CAP:
+        raise CapExceededError(f"layered_step capped at {MATRIX_QUBIT_CAP} qubits")
+    layers, peak, offset = [], 0.0, 0
+    for name in LAYER_NAMES:
+        size = report.layer_total(name) // report.steps
+        gates = circuit.gates[offset:offset + size]
+        offset += size
+        if name in ("potential", "kinetic"):
+            with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+                pos, theta = _fused_angles(gates, n)
+            if pos is not None:
+                raise ValueError(f"the {name} layer permutes basis states")
+            if not np.isfinite(theta).all():
+                raise OverflowError(f"the {name} layer's phase angles are not finite")
+            layers.append(theta)
+            peak = max(peak, max((abs(g.angle) for g in gates if g.angle is not None),
+                                 default=0.0))
+        else:
+            layers.append(_windows(gates, n, q) or Circuit(n, gates))
+    return LayeredStep(n, tuple(layers), peak)
+
+
+def _windows(gates, n: int, q: int) -> tuple | None:
+    """A QFT layer as one ``(shift, unitary)`` per boson, or None where it
+    does not split into windows of q <= WINDOW_QUBIT_CAP qubits."""
+    if q > WINDOW_QUBIT_CAP:
+        return None
+    per_boson: dict[int, list] = {}
+    const = 0.0
+    for gate in gates:
+        if not gate.qubits:
+            const += gate.angle
+            continue
+        a = gate.qubits[0] // q
+        if any(b // q != a for b in gate.qubits):
+            return None
+        per_boson.setdefault(a, []).append(gate.shifted(-a * q))
+    if not per_boson:
+        return None
+    windows = [(a * q, circuit_matrix(Circuit(q, boson_gates)))
+               for a, boson_gates in sorted(per_boson.items())]
+    first = windows[0][1]
+    first *= np.exp(1j * const)
+    return tuple(windows)
+
+
 def trotter_error(spec: HamiltonianSpec, total_time: float, steps: int,
-                  exact: Propagator | None = None, step: Circuit | None = None) -> float:
+                  exact: Propagator | None = None, step: LayeredStep | None = None) -> float:
     """max entrywise |U_trotter - U_exact| for the assembled Hamiltonian.
 
-    U_trotter is one simulated step circuit (dt = total_time / steps) raised
-    to ``steps`` by repeated squaring. ``exact`` is the reference propagator
+    U_trotter is one step (dt = total_time / steps), simulated layer by layer,
+    raised to ``steps``. ``exact`` is the reference propagator
     exp(-i H total_time); pass it to share one reference between step counts,
-    or leave it None to build it here; likewise ``step``, the one-step circuit.
+    or leave it None to build it here; likewise ``step``, the step's layers.
     """
     n = spec.config.total_qubits
     if n > MATRIX_QUBIT_CAP:
@@ -219,6 +383,8 @@ def trotter_error(spec: HamiltonianSpec, total_time: float, steps: int,
                          f"{exact.unitary.shape}) does not match time {total_time} "
                          f"on {n} qubits")
     if step is None:
-        step, _ = trotter_evolution(spec, total_time / steps, 1)
-    u_trotter = np.linalg.matrix_power(circuit_matrix(step), steps)
-    return float(np.abs(u_trotter - exact.unitary).max())
+        step = layered_step(*trotter_evolution(spec, total_time / steps, 1),
+                            spec.config.qubits_per_boson)
+    elif step.n_qubits != n:
+        raise ValueError(f"step on {step.n_qubits} qubits does not match {n} qubits")
+    return float(np.abs(step.power(steps) - exact.unitary).max())

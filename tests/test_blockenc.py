@@ -330,12 +330,18 @@ class TestBranchBlock:
         assert abs(err - oracle) <= 1e-15
 
     def test_cap_before_any_allocation(self, tmp_path, monkeypatch, capsys):
-        # B=2 Q=5: 10 system qubits and 8 ancillas, past the 14-qubit cap
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps({
-            "bosons": 2, "qubits_per_boson": 5, "radius": 2.0,
-            "potential": [{"coeff": c, "exponents": e} for c, e in
-                          ((1.0, [2, 0]), (1.0, [0, 2]), (0.5, [2, 2]), (1.0, [4, 0]))]}))
+        # B=2 Q=7: 14 system qubits, past the 12-qubit cap on the system register
+        def spec(q):
+            path = tmp_path / f"spec{q}.json"
+            path.write_text(json.dumps({
+                "bosons": 2, "qubits_per_boson": q, "radius": 2.0,
+                "potential": [{"coeff": c, "exponents": e} for c, e in
+                              ((1.0, [2, 0]), (1.0, [0, 2]), (0.5, [2, 2]), (1.0, [4, 0]))]}))
+            return str(path)
+
+        # B=2 Q=5: 10 system qubits and 8 ancillas, each register within the cap
+        assert main(["blockenc", spec(5), "--verify", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["verify_error"] <= 1e-10
 
         def allocated(*args, **kwargs):
             raise AssertionError("allocated past the cap")
@@ -343,5 +349,21 @@ class TestBranchBlock:
         for name in ("prepare_G", "build_select", "fourier_kernel_multi"):
             monkeypatch.setattr(qboson.blockenc, name, allocated)
         monkeypatch.setattr(BlockEncoding, "branch_block", allocated)
+        assert main(["blockenc", spec(7), "--verify"]) == 3
+        assert "capped at 12 system qubits, got 14" in capsys.readouterr().err
+
+    def test_ancilla_cap_before_any_allocation(self, tmp_path, monkeypatch, capsys):
+        # B=2 Q=6: 12 system qubits, but 64 x 64 potential strings need 13 ancillas
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "bosons": 2, "qubits_per_boson": 6, "radius": 2.0,
+            "potential": [{"coeff": 1.0, "exponents": e}
+                          for e in ([6, 6], [5, 6], [6, 5], [5, 5])]}))
+
+        def allocated(*args, **kwargs):
+            raise AssertionError("allocated past the cap")
+
+        for name in ("prepare_G", "fourier_kernel_multi"):
+            monkeypatch.setattr(qboson.blockenc, name, allocated)
         assert main(["blockenc", str(path), "--verify"]) == 3
-        assert "capped at 14 total qubits" in capsys.readouterr().err
+        assert "capped at 12 ancilla qubits, got 13" in capsys.readouterr().err

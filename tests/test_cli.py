@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -258,8 +259,8 @@ class TestTrotter:
         assert code == 0 and calls == [0.5]
         assert "halving_ratio" in json.loads(out)
 
-    def test_verify_builds_the_step_twice(self, spec_file, capsys, monkeypatch):
-        # the N-step error reuses the report's first step; only N/2 steps build again
+    def test_verify_builds_the_step_once(self, spec_file, capsys, monkeypatch):
+        # both errors reuse the report's first step: N/2 steps double its angles
         import qboson.circuits as circuits
         from qboson.simulate import trotter_error
         dts = []
@@ -273,7 +274,7 @@ class TestTrotter:
         monkeypatch.setattr(circuits, "trotter_step", counted)
         code, out = run_cli(["trotter", path, "--time", "0.5", "--steps", "4", "--verify",
                              "--format", "json"], capsys)
-        assert code == 0 and dts == [0.125, 0.25]
+        assert code == 0 and dts == [0.125]
         doc = json.loads(out)
         spec = load_hamiltonian_spec(path)
         assert doc["trotter_error"] == trotter_error(spec, 0.5, 4)
@@ -361,17 +362,22 @@ class TestBlockenc:
             assert rows["name"] == "value" and float(rows["verify_error"]) > 1e-18
 
     def test_report_builds_no_select(self, spec_file, capsys):
-        # B=2 Q=5: 10 system qubits and 8 ancillas, past the cap that only --verify needs
-        path = spec_file(dict(ANHARMONIC, bosons=2, qubits_per_boson=5, potential=[
-            {"coeff": 1.0, "exponents": [2, 0]}, {"coeff": 1.0, "exponents": [0, 2]},
-            {"coeff": 0.5, "exponents": [2, 2]}, {"coeff": 1.0, "exponents": [4, 0]}]))
+        # B=2 Q=5: 10 system qubits and 8 ancillas, each register within the cap
+        # that only --verify needs; at Q=7 the 14 system qubits are past it
+        def spec(q):
+            return spec_file(dict(ANHARMONIC, bosons=2, qubits_per_boson=q, potential=[
+                {"coeff": 1.0, "exponents": [2, 0]}, {"coeff": 1.0, "exponents": [0, 2]},
+                {"coeff": 0.5, "exponents": [2, 2]}, {"coeff": 1.0, "exponents": [4, 0]}]))
+        path = spec(5)
         code, out = run_cli(["blockenc", path, "--format", "json"], capsys)
         assert code == 0
         doc = json.loads(out)
         assert [doc[k] for k in ("n_terms", "ancilla_count", "system_qubits",
                                  "terms_potential", "terms_kinetic")] == [147, 8, 10, 126, 21]
-        assert main(["blockenc", path, "--verify"]) == 3
-        assert "capped at 14 total qubits" in capsys.readouterr().err
+        code, out = run_cli(["blockenc", path, "--verify", "--format", "json"], capsys)
+        assert code == 0 and json.loads(out)["verify_error"] <= 1e-10
+        assert main(["blockenc", spec(7), "--verify"]) == 3
+        assert "capped at 12 system qubits, got 14" in capsys.readouterr().err
 
     def test_report_past_64_qubits(self, spec_file, capsys):
         # x_a**4 on each of 3 bosons at Q=22: 66 system qubits, two mask words per string
@@ -404,6 +410,28 @@ OVERFLOW = {
     "coeff-1e305": (dict(ANHARMONIC, radius=10.0,
                          potential=[{"coeff": 1e305, "exponents": [4]}]),
                     ["count", "trotter", "blockenc", "blockenc --verify"]),
+}
+# (spec, argv with the spec path left out, words the refusal names)
+COERCED = {
+    "time-overflows-angles": (dict(ANHARMONIC, potential=[{"coeff": 1.0, "exponents": [4]}]),
+                              ["trotter", "--time", "1e308", "--steps", "2"],
+                              ["--time 1e+308", "--steps 2", "spec.json"]),
+    # the N-step angles are finite, the doubled ones of the N/2-step check are not
+    "time-overflows-doubled-angles": (
+        dict(ANHARMONIC, potential=[{"coeff": 1.0, "exponents": [4]}]),
+        ["trotter", "--time", "1.2e307", "--steps", "2", "--verify"],
+        ["--time 1.2e+307", "--steps 2", "spec.json", "doubled"]),
+    "fock-term-overflows": ({"bosons": 1, "qubits_per_boson": 10, "basis": "fock",
+                             "potential": [{"coeff": 1.0, "exponents": [2]},
+                                           {"coeff": 1e305, "exponents": [4]}]},
+                            ["count"], ["potential term 1", "qubits_per_boson 10"]),
+    "fock-two-boson-term-overflows": (
+        {"bosons": 2, "qubits_per_boson": 6, "basis": "fock",
+         "potential": [{"coeff": 1e306, "exponents": [4, 4]}]},
+        ["count"], ["potential term 0", "qubits_per_boson 6"]),
+    "zsum-underflows": (dict(ANHARMONIC, qubits_per_boson=4, radius=1e-300,
+                             potential=[{"coeff": 1.0, "exponents": [4]}]),
+                        ["count"], ["underflows", "radius 1e-300", "degree 4"]),
 }
 # (fock parameters, degree of the potential): x would divide by zero, vanish, or
 # have a power past the float range
@@ -453,6 +481,18 @@ class TestRefusals:
             assert code == 2 and out == "", command
             assert "overflows at radius" in err and "qubits_per_boson 3" in err, command
             assert "degree" in err
+
+    @pytest.mark.parametrize("name", sorted(COERCED))
+    def test_coerced_input_exit_2(self, name, spec_file, capsys):
+        # each once ran to exit 0, or to exit 2 with a RuntimeWarning and a message
+        # that named no input; no warning escapes now
+        doc, argv, named = COERCED[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([argv[0], spec_file(doc), *argv[1:]])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert all(word in err for word in named), err
 
     @pytest.mark.parametrize("name", sorted(BAD_FOCK))
     def test_bad_fock_parameters_exit_2(self, name, spec_file, capsys):

@@ -1,5 +1,6 @@
 """Statevector engine, circuit matrices, exact propagators, and Trotter error."""
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ from qboson import (CapExceededError, Circuit, Gate, HamiltonianSpec, Monomial,
                     fourier_kernel, fourier_kernel_multi, kinetic_zsum,
                     potential_grid_diagonal, qft_circuit, reconstruct, trotter_error,
                     trotter_evolution, trotter_step)
+from qboson.circuits import LAYER_NAMES, GateCountReport
+from qboson.operators import momentum_values
+from qboson.simulate import WINDOW_QUBIT_CAP, _run_circuit, layered_step
 
 
 def anharmonic_spec(qubits=3, radius=2.0, coeffs=None):
@@ -364,3 +368,101 @@ class TestStepPowerAndSharedReference:
     def test_steps_validation(self):
         with pytest.raises(ValueError, match="steps"):
             trotter_error(anharmonic_spec(), 0.5, 0)
+
+
+def coupled_spec(bosons, qubits):
+    """x_0**2 + x_last**4 / 2 + 0.3 x_0 x_last: one boson, or two coupled ones."""
+    last = bosons - 1
+    return HamiltonianSpec(TruncationConfig(bosons, qubits, 2.0), PolynomialPotential(bosons, (
+        Monomial(1.0, {0: 2}), Monomial(0.5, {last: 4}),
+        Monomial(0.3, {0: 1, last: 1} if last else {0: 2}))))
+
+
+def first_columns(layered, circuit, count=48):
+    """The layered step and the gate-by-gate kernel of circuit_matrix on the
+    first ``count`` basis states (all of them on small registers)."""
+    probes = np.eye(1 << circuit.n_qubits, dtype=np.complex128)[:, :count].copy()
+    expected = _run_circuit(circuit, probes.copy())
+    layered.apply(probes, np.empty_like(probes))
+    return probes, expected
+
+
+class TestLayeredStep:
+    @pytest.mark.parametrize("bosons,qubits", [(1, q) for q in range(2, 9)]
+                             + [(2, q) for q in range(2, 7)])
+    def test_matches_gate_by_gate(self, bosons, qubits):
+        # Q <= WINDOW_QUBIT_CAP runs each boson's QFT as one window; past it,
+        # the QFT gates run on the full register
+        step, report = trotter_step(coupled_spec(bosons, qubits), 0.1)
+        layered = layered_step(step, report, qubits)
+        windowed = qubits <= WINDOW_QUBIT_CAP
+        assert [isinstance(layer, tuple) for layer in layered.layers[1::2]] == [windowed] * 2
+        if step.n_qubits <= 8:
+            assert np.abs(layered.power(1) - circuit_matrix(step)).max() <= 1e-12
+        got, expected = first_columns(layered, step)
+        assert np.abs(got - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("bosons,qubits", [(1, 3), (1, 7), (2, 4)])
+    def test_doubled_angles_are_the_step_at_twice_dt(self, bosons, qubits):
+        spec = coupled_spec(bosons, qubits)
+        step, report = trotter_step(spec, 0.0625)
+        twice, _ = trotter_step(spec, 0.125)
+        sizes = [report.layer_total(name) for name in LAYER_NAMES]
+        diagonal = np.repeat([True, False, True, False], sizes)
+        doubled = [Gate(g.kind, g.qubits, 2.0 * g.angle) if diag and g.angle is not None else g
+                   for g, diag in zip(step.gates, diagonal)]
+        assert [(g.kind, g.qubits, g.angle) for g in doubled] == [
+            (g.kind, g.qubits, g.angle) for g in twice.gates]
+        # so the doubled phases are the phases of the step at 2 dt, bit for bit
+        ours = layered_step(step, report, qubits).doubled()
+        theirs = layered_step(twice, report, qubits)
+        for mine, other in zip(ours.layers[::2], theirs.layers[::2]):
+            assert np.array_equal(mine, other)
+
+    def test_gate_across_bosons_runs_on_the_full_register(self):
+        # a SWAP between the two bosons' registers inside the QFT layer and
+        # its inverse: no per-boson window holds it
+        step, report = trotter_step(coupled_spec(2, 3), 0.1)
+        cut = np.cumsum([report.layer_total(name) for name in LAYER_NAMES])
+        swap = Gate("SWAP", (2, 3))
+        gates = (step.gates[:cut[1]] + [swap] + step.gates[cut[1]:cut[2]] + [swap]
+                 + step.gates[cut[2]:])
+        crossed = Circuit(step.n_qubits, gates)
+        counts = dict(report.layers)
+        counts["qft"] = counts["qft"] + Counter(SWAP=1)
+        counts["inverse_qft"] = counts["inverse_qft"] + Counter(SWAP=1)
+        layered = layered_step(crossed, GateCountReport(counts), 3)
+        assert [type(layer) for layer in layered.layers[1::2]] == [Circuit, Circuit]
+        assert np.abs(layered.power(1) - circuit_matrix(crossed)).max() <= 1e-12
+
+    @pytest.mark.parametrize("steps,squared", [(1, False), (2, False), (5, False), (40, True)])
+    def test_power_on_both_sides_of_the_cost_rule(self, steps, squared, monkeypatch):
+        # few steps apply the layers each time, many square one application
+        step, report = trotter_step(coupled_spec(2, 4), 0.05)
+        expected = np.linalg.matrix_power(circuit_matrix(step), steps)
+        calls = []
+        original = np.linalg.matrix_power
+        monkeypatch.setattr(np.linalg, "matrix_power", lambda *a: calls.append(a) or original(*a))
+        got = layered_step(step, report, 4).power(steps)
+        assert bool(calls) == squared
+        assert np.abs(got - expected).max() <= 1e-12
+
+    def test_cap(self):
+        step, report = trotter_step(coupled_spec(1, 13), 0.1)
+        with pytest.raises(CapExceededError, match="capped at 12 qubits"):
+            layered_step(step, report, 13)
+
+
+class TestAssembleWithoutKron:
+    @pytest.mark.parametrize("bosons,qubits", [(1, 1), (1, 5), (2, 1), (2, 3), (3, 2), (4, 1)])
+    def test_equals_kron_form(self, bosons, qubits):
+        # oracle: each boson's kinetic block as two Kronecker products with identities
+        spec = coupled_spec(bosons, qubits)
+        cfg = spec.config
+        f = fourier_kernel(cfg.cutoff)
+        local = (f.conj().T @ (momentum_values(cfg)[:, None] ** 2 / 2.0 * f)).real
+        oracle = np.diag(potential_grid_diagonal(spec))
+        for a in range(bosons):
+            oracle += np.kron(np.eye(cfg.cutoff ** (bosons - 1 - a)),
+                              np.kron(local, np.eye(cfg.cutoff ** a)))
+        assert np.array_equal(assemble_hamiltonian_matrix(spec), oracle)
