@@ -5,8 +5,8 @@ the finite-difference shift matrix, and the Fock-basis ladder operators.
 """
 import numpy as np
 
-from qboson import (FockParams, TruncationConfig, coordinate_grid, fock_ladder,
-                    fock_p, fock_x, momentum_grid, position_zsum, reconstruct,
+from qboson import (FockParams, TruncationConfig, coordinate_values, fock_ladder,
+                    fock_p, fock_x, momentum_values, position_zsum, reconstruct,
                     shift_matrix)
 
 # One boson on Q = 3 qubits: the local Hilbert space has Lambda = 2^3 = 8
@@ -17,9 +17,9 @@ print(f"dx * dp * Lambda = {config.spacing * config.momentum_spacing * config.cu
       f"  (always 2*pi = {2 * np.pi:.12f})")
 
 print("\nCoordinate grid (symmetric, half-integer multiples of dx):")
-print(" ", [p.value for p in coordinate_grid(config)])
+print(" ", coordinate_values(config).tolist())
 print("Momentum grid:")
-print(" ", [round(p.value, 4) for p in momentum_grid(config)])
+print(" ", [round(v, 4) for v in momentum_values(config).tolist()])
 
 # The position operator is diagonal in this basis and needs only Q
 # single-Z strings; its matrix is exactly diag(grid values).

@@ -21,14 +21,12 @@ from .hamiltonian import (BasisChoice, HamiltonianSpec, KineticScheme, Monomial,
                           kinetic_grid_diagonal, kinetic_zsum,
                           load_hamiltonian_spec, potential_grid_diagonal,
                           raw_string_count)
-from .operators import (FockParams, GridPoint, TruncationConfig, coordinate_grid,
-                        coordinate_values, fock_ladder, fock_p, fock_x,
-                        fourier_kernel, fourier_kernel_multi, momentum_grid,
+from .operators import (FockParams, TruncationConfig, coordinate_values, fock_ladder,
+                        fock_p, fock_x, fourier_kernel, fourier_kernel_multi,
                         momentum_values, momentum_zsum, p2_finite_difference,
                         position_zsum, shift_matrix)
 from .pauli import (PauliSum, PauliTerm, StringCensus, count_strings,
-                    pauli_sum_from_text, pauli_sum_to_text, read_pauli_sum,
-                    string_census, write_pauli_sum)
+                    pauli_sum_from_text, pauli_sum_to_text, string_census)
 from .scaling import FitResult, ScalingSeries, fit_scaling, series_from_csv, series_to_csv
 from .simulate import (Propagator, StateVector, apply_circuit,
                        assemble_hamiltonian_matrix, circuit_matrix,

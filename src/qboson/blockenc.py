@@ -15,7 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapExceededError
-from .hamiltonian import HamiltonianSpec, expand_potential_zsum, kinetic_zsum
+from .hamiltonian import (HamiltonianSpec, expand_potential_zsum, kinetic_zsum,
+                          require_kinetic_support)
 from .operators import fourier_kernel_multi
 from .pauli import PauliSum, mask_words, string_entries
 from .simulate import MATRIX_QUBIT_CAP
@@ -98,9 +99,12 @@ def build_plan(potential_sum: PauliSum, kinetic_sum: PauliSum | None = None) -> 
 
 def plan_from_spec(spec: HamiltonianSpec) -> LCUPlan:
     """The kinetic sum is expanded first, so a spec off the coordinate route is
-    refused before the potential is; the plan still lists the potential first."""
+    refused before the potential is; a kinetic sum that lost strings is
+    refused after it. The plan still lists the potential first."""
     kinetic = kinetic_zsum(spec)
-    return build_plan(expand_potential_zsum(spec), kinetic)
+    potential = expand_potential_zsum(spec)
+    require_kinetic_support(spec, kinetic)
+    return build_plan(potential, kinetic)
 
 
 def prepare_G(plan: LCUPlan) -> np.ndarray:

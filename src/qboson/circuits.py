@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .hamiltonian import (HamiltonianSpec, expand_potential_zsum, kinetic_zsum,
-                          raw_string_count)
+                          raw_string_count, require_kinetic_support)
 from .pauli import PauliSum, PauliTerm, mask_bits
 
 GATE_ARITY = {
@@ -166,13 +166,13 @@ def read_circuit(path) -> Circuit:
 
 # -- QFT ---------------------------------------------------------------------------
 
-def qft_circuit(qubits: int, centered: bool = False) -> Circuit:
-    """Quantum Fourier transform on a little-endian register.
+def qft_circuit(qubits: int) -> Circuit:
+    """Centered quantum Fourier transform on a little-endian register.
 
-    Plain variant: H + controlled-phase ladder + final swaps, realizing
-    F[k, n] = exp(2 pi i k n / Lambda) / sqrt(Lambda). With ``centered`` the
-    ladder is conjugated by single-qubit phase layers plus a global phase so
-    the matrix equals the symmetric-grid kernel exp(i p_k x_n) / sqrt(Lambda).
+    H + controlled-phase ladder + final swaps realize
+    F[k, n] = exp(2 pi i k n / Lambda) / sqrt(Lambda); single-qubit phase
+    layers on both sides plus a global phase turn it into the symmetric-grid
+    kernel exp(i p_k x_n) / sqrt(Lambda).
     """
     if qubits < 1:
         raise ValueError("qubits must be >= 1")
@@ -186,8 +186,7 @@ def qft_circuit(qubits: int, centered: bool = False) -> Circuit:
         for j in range(qubits):
             circ.append(Gate("DIAGPHASE", (j,), -theta_c * (1 << j)))
 
-    if centered:
-        phase_dressing()
+    phase_dressing()
     for target in range(qubits - 1, -1, -1):
         circ.append(Gate("H", (target,)))
         for control in range(target - 1, -1, -1):
@@ -195,10 +194,9 @@ def qft_circuit(qubits: int, centered: bool = False) -> Circuit:
                              2.0 * math.pi / (1 << (target - control + 1))))
     for j in range(qubits // 2):
         circ.append(Gate("SWAP", (j, qubits - 1 - j)))
-    if centered:
-        phase_dressing()
-        c = (dim - 1) / 2.0
-        circ.append(Gate("PHASE", (), 2.0 * math.pi * c * c / dim))
+    phase_dressing()
+    c = (dim - 1) / 2.0
+    circ.append(Gate("PHASE", (), 2.0 * math.pi * c * c / dim))
     return circ
 
 
@@ -315,14 +313,17 @@ def trotter_step(spec: HamiltonianSpec, dt: float) -> tuple[Circuit, GateCountRe
     """One first-order step: potential rotations, QFT, kinetic rotations, QFT^-1.
 
     Angles are coefficient * dt per string. The kinetic sum is expanded first,
-    so a spec off the coordinate route is refused before the potential is.
+    so a spec off the coordinate route is refused before the potential is; a
+    kinetic sum that lost strings is refused after it.
     """
     cfg = spec.config
     n = cfg.total_qubits
-    kinetic = _rotation_layer(kinetic_zsum(spec), dt)
+    kin_sum = kinetic_zsum(spec)
+    kinetic = _rotation_layer(kin_sum, dt)
     pot_sum = expand_potential_zsum(spec)
+    require_kinetic_support(spec, kin_sum)
     qft_all = Circuit(n)
-    per_boson = qft_circuit(cfg.qubits_per_boson, centered=True)
+    per_boson = qft_circuit(cfg.qubits_per_boson)
     for a in range(cfg.bosons):
         qft_all += per_boson.embedded(n, a * cfg.qubits_per_boson)
     layers = {"potential": _rotation_layer(pot_sum, dt), "qft": qft_all,

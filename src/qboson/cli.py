@@ -141,13 +141,21 @@ def cmd_trotter(args):
     spec = load_hamiltonian_spec(args.spec)
     try:
         circuit, report = trotter_evolution(spec, args.time, args.steps)
-        step = half = None
+        step = half = exact = None
         if args.verify:
+            n = spec.config.total_qubits
+            if n > simulate.MATRIX_QUBIT_CAP:
+                raise CapExceededError(f"--verify of {args.spec} is capped at "
+                                       f"{simulate.MATRIX_QUBIT_CAP} qubits, got {n}")
             step = simulate.layered_step(circuit, report, spec.config.qubits_per_boson)
             half = step.doubled() if args.steps % 2 == 0 else None
+            # the errors at N and N/2 steps share the total time, so one reference
+            # serves both; looked up on the module so that a wrapper installed on
+            # simulate.exact_propagator (perfbench/tracing.py) sees this call
+            exact = simulate.exact_propagator(assemble_hamiltonian_matrix(spec), args.time)
     except OverflowError as exc:
         raise SpecFileError(f"--time {args.time!r} over --steps {args.steps} overflows a "
-                            f"rotation angle of {args.spec}: {exc}") from None
+                            f"phase of {args.spec}: {exc}") from None
     if args.circuit_out:
         write_circuit(circuit, args.circuit_out)
     doc = report.to_dict()
@@ -164,10 +172,6 @@ def cmd_trotter(args):
             rows.append([f"layer:{layer}", kind, counter[kind]])
     failure = None
     if args.verify:
-        # the errors at N and N/2 steps share the total time, so one reference
-        # serves both; looked up on the module so that a wrapper installed on
-        # simulate.exact_propagator (perfbench/tracing.py) sees this call
-        exact = simulate.exact_propagator(assemble_hamiltonian_matrix(spec), args.time)
         err = trotter_error(spec, args.time, args.steps, exact=exact, step=step)
         doc["trotter_error"] = err
         rows.append(["verify", f"trotter_error:{args.steps}", err])
@@ -231,10 +235,12 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
 
 
-def _add_common(p: argparse.ArgumentParser, tol_default, tol_help: str) -> None:
+def _add_common(p: argparse.ArgumentParser, tol_default=None, tol_help: str = "") -> None:
+    """--out and --format; --tol too where ``tol_help`` says what it does."""
     p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--tol", type=_tolerance, default=tol_default, help=tol_help)
+    if tol_help:
+        p.add_argument("--tol", type=_tolerance, default=tol_default, help=tol_help)
 
 
 @functools.cache  # built once per process; parse_args leaves it unchanged
@@ -260,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit the scaling ansatz to a Q,n_pauli CSV")
     p.add_argument("series", help="CSV with columns Q and n_pauli")
-    _add_common(p, None, "unused; accepted for interface uniformity")
+    _add_common(p)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("trotter", help="emit a Trotter circuit and gate-count report")

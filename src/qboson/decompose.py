@@ -20,8 +20,7 @@ TRACE_QUBIT_CAP = 8
 BATCH_ENTRIES = 1 << 20
 
 
-def decompose_trace(op: SparseOperator, cap: int = TRACE_QUBIT_CAP,
-                    rel_tol: float = RELATIVE_PRUNE_TOL) -> PauliSum:
+def decompose_trace(op: SparseOperator, rel_tol: float = RELATIVE_PRUNE_TOL) -> PauliSum:
     """Project onto every Pauli string: coeff(P) = Tr(P^dagger M) / 2**n.
 
     The sweep iterates the nonzero entries of M only: the string (x, z)
@@ -29,8 +28,8 @@ def decompose_trace(op: SparseOperator, cap: int = TRACE_QUBIT_CAP,
     like 4**n, hence the hard cap.
     """
     n = qubit_count(op.dim)
-    if n > cap:
-        raise CapExceededError(f"decompose_trace capped at {cap} qubits, got {n}")
+    if n > TRACE_QUBIT_CAP:
+        raise CapExceededError(f"decompose_trace capped at {TRACE_QUBIT_CAP} qubits, got {n}")
     dim = op.dim
     zs = np.arange(dim)
     found = []

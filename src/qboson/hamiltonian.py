@@ -21,7 +21,7 @@ import numpy as np
 from .errors import CapExceededError, SpecFileError
 from .operators import (FockParams, TruncationConfig, coordinate_values, fock_p,
                         fock_x, momentum_values, p2_finite_difference)
-from .pauli import PauliSum, single_qubit_words
+from .pauli import PauliSum, mask_bits, single_qubit_words
 from .sparse import ZERO_TOL, SparseOperator
 
 FOCK_TOTAL_QUBIT_CAP = 14  # dense/banded matrix products stop being desk-scale
@@ -226,15 +226,6 @@ def _colex_levels(q: int, k_max: int, d_max: int, wanted) -> list[tuple]:
     return levels
 
 
-def _subset_at(levels, k: int, i: int) -> list[int]:
-    """Row i of level k, traced back through the levels."""
-    out = []
-    for lead, top, _ in reversed(levels[1:k + 1]):
-        out.append(int(top[i]))
-        i = lead[i]
-    return out[::-1]
-
-
 def _exact_factor(subset, q: int, d: int):
     """d! * prod_{j in S} w_j * E_r(S) for one subset S, as a Fraction."""
     from fractions import Fraction
@@ -248,14 +239,18 @@ def _exact_factor(subset, q: int, d: int):
     return math.factorial(d) * poly[r] / 2 ** sum(q - j for j in subset)
 
 
+def _underflow(what: str, degree: int, config: TruncationConfig) -> ValueError:
+    return ValueError(f"the Z-sum {what} of degree {degree} underflows to zero at radius "
+                      f"{config.radius!r} with qubits_per_boson {config.qubits_per_boson}")
+
+
 def _zsum(config: TruncationConfig, step: float,
           monomials: list[tuple[float, tuple[int, ...]]], what: str,
           vanishing_ok: bool = False) -> PauliSum:
     """Z-strings of sum_m c_m prod_a x_a**d_a with x_a the Q-term Z-sum of
     grid spacing ``step``: exact support, exact zeros dropped. A sum whose
-    coefficients may overflow is refused, naming ``what``; so is a nonzero
-    monomial whose scale |c| |alpha|**d underflows to zero, unless
-    ``vanishing_ok``."""
+    coefficients may overflow is refused, naming ``what``; so is one with a
+    nonzero string that underflows to zero, unless ``vanishing_ok``."""
     q, n = config.qubits_per_boson, config.total_qubits
     # monomials with equal exponents share every string; math.fsum rounds their
     # exact sum once, so a group that cancels exactly leaves nothing behind
@@ -272,8 +267,7 @@ def _zsum(config: TruncationConfig, step: float,
                          f"radius {config.radius!r} with qubits_per_boson {q}")
     for (powers, cs), scale in zip(groups.items(), scales):
         if scale == 0.0 and math.fsum(cs) and not vanishing_ok:
-            raise ValueError(f"the Z-sum {what} of degree {sum(powers)} underflows to zero at "
-                             f"radius {config.radius!r} with qubits_per_boson {q}")
+            raise _underflow(what, sum(powers), config)
     shapes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for powers, cs in groups.items():
         if math.fsum(cs):
@@ -285,14 +279,16 @@ def _zsum(config: TruncationConfig, step: float,
                                f"strings, capped at {EXPANSION_STRING_CAP}")
     if not shapes:
         return PauliSum(n)
-    z, coeff = _shape_blocks(q, n, alpha, groups, shapes)
-    if not coeff.all():
-        z, coeff = z[coeff != 0.0], coeff[coeff != 0.0]
+    z, coeff, lost = _shape_blocks(q, n, alpha, groups, shapes)
+    if lost is not None and not vanishing_ok:
+        raise _underflow(what, lost, config)
     return PauliSum.from_arrays(n, np.zeros_like(z), z, coeff)
 
 
 def _shape_blocks(q: int, n: int, alpha: float, groups: dict, shapes: dict):
-    """Z masks and coefficients of every shape, shapes in order of total weight."""
+    """Z masks and nonzero coefficients of every shape, shapes in order of total
+    weight, and the degree of the first shape with a nonzero string that
+    underflowed to 0.0 (None when no string did)."""
     bosons = len(next(iter(shapes)))
     levels = _colex_levels(q, max(max(s) for s in shapes), max(max(p) for p in groups),
                            {k for shape in shapes for k in shape})
@@ -311,7 +307,7 @@ def _shape_blocks(q: int, n: int, alpha: float, groups: dict, shapes: dict):
         """d! * prod_{j in S} w_j * E_r(S) for every k-subset S."""
         return math.factorial(d) * levels[k][2][(d - k) // 2]
 
-    z_blocks, c_blocks = [], []
+    z_blocks, c_blocks, lost = [], [], None
     for shape in sorted(shapes, key=sum):
         # the highest boson varies slowest, so z ascends within the shape
         z = boson_masks(bosons - 1, shape[-1])
@@ -324,20 +320,30 @@ def _shape_blocks(q: int, n: int, alpha: float, groups: dict, shapes: dict):
                 part = np.multiply.outer(part, factor(powers[a], shape[a])).ravel()
             parts.append(part)
         coeff = parts[0] if len(parts) == 1 else np.sum(parts, axis=0)
+        cancelled = 0  # strings whose exact coefficient is zero
         if len({math.fsum(groups[p]) > 0 for p in shapes[shape]}) > 1:
             from fractions import Fraction  # only here: it also loads decimal
             magnitude = np.sum(np.abs(parts), axis=0)
-            sizes = [math.comb(q, k) for k in reversed(shape)]
-            for i in np.flatnonzero(np.abs(coeff) <= _EXACT_RECHECK * magnitude).tolist():
-                picks = np.unravel_index(i, sizes)[::-1]
-                subsets = [_subset_at(levels, k, p) for k, p in zip(shape, picks)]
-                coeff[i] = float(sum(
-                    sum(map(Fraction, groups[p])) * Fraction(alpha) ** sum(p)
-                    * math.prod(_exact_factor(s, q, d) for s, d in zip(subsets, p))
-                    for p in shapes[shape]))
+            rows = np.flatnonzero(np.abs(coeff) <= _EXACT_RECHECK * magnitude)
+            # boson a's subset is bits a*q .. a*q + q - 1 of the string's own mask
+            picked = mask_bits(z[rows], n).reshape(len(rows), bosons, q)
+            for i, row in zip(rows.tolist(), picked):
+                subsets = [np.flatnonzero(b).tolist() for b in row]
+                exact = sum(sum(map(Fraction, groups[p])) * Fraction(alpha) ** sum(p)
+                            * math.prod(_exact_factor(s, q, d) for s, d in zip(subsets, p))
+                            for p in shapes[shape])
+                coeff[i] = float(exact)
+                cancelled += not exact
+        # past the exact zeros counted above, a 0.0 has underflowed (in a shape
+        # of one sign every factor is positive, so each of its zeros has)
+        if not coeff.all():
+            keep = coeff != 0.0
+            if lost is None and keep.size - np.count_nonzero(keep) > cancelled:
+                lost = max(map(sum, shapes[shape]))
+            z, coeff = z[keep], coeff[keep]
         z_blocks.append(z)
         c_blocks.append(coeff)
-    return np.concatenate(z_blocks), np.concatenate(c_blocks)
+    return np.concatenate(z_blocks), np.concatenate(c_blocks), lost
 
 
 def expand_potential_zsum(spec: HamiltonianSpec) -> PauliSum:
@@ -369,14 +375,23 @@ def kinetic_zsum(spec: HamiltonianSpec) -> PauliSum:
     Squaring the Q-term Z-sum leaves the identity plus Q(Q-1)/2 ZZ couplings
     per boson; single-Z terms cancel in the square. Its coefficients vanish
     only past a radius of about 1e160, where a potential of degree 2 or more
-    overflows: that refusal, which names the radius too, is left to the
-    potential's expansion.
+    overflows. That refusal names the radius too, so strings that vanish are
+    dropped here and refused by ``require_kinetic_support`` once the potential
+    has been expanded.
     """
     _require_route(spec, "the Z-sum kinetic term", (KineticScheme.MOMENTUM_DIAGONAL,))
     cfg = spec.config
     return _zsum(cfg, cfg.momentum_spacing,
                  [(0.5, tuple(2 * (b == a) for b in range(cfg.bosons)))
                   for a in range(cfg.bosons)], "kinetic term", vanishing_ok=True)
+
+
+def require_kinetic_support(spec: HamiltonianSpec, kinetic: PauliSum) -> None:
+    """Refuse a kinetic Z-sum short of its 1 + B Q(Q-1)/2 strings: every
+    coefficient is positive, so a missing string has underflowed."""
+    cfg = spec.config
+    if len(kinetic) < 1 + cfg.bosons * math.comb(cfg.qubits_per_boson, 2):
+        raise _underflow("kinetic term", 2, cfg)
 
 
 def _embed_per_boson(config: TruncationConfig, local: SparseOperator) -> SparseOperator:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -65,11 +64,6 @@ class TruncationConfig:
         return self.radius
 
 
-class GridPoint(NamedTuple):
-    index: int
-    value: float
-
-
 @dataclass(frozen=True)
 class FockParams:
     """Mass and frequency fixing the harmonic-oscillator basis."""
@@ -100,14 +94,6 @@ def coordinate_values(config: TruncationConfig) -> np.ndarray:
 
 def momentum_values(config: TruncationConfig) -> np.ndarray:
     return _centered_values(config.cutoff, config.momentum_spacing)
-
-
-def coordinate_grid(config: TruncationConfig) -> list[GridPoint]:
-    return [GridPoint(i, float(v)) for i, v in enumerate(coordinate_values(config))]
-
-
-def momentum_grid(config: TruncationConfig) -> list[GridPoint]:
-    return [GridPoint(i, float(v)) for i, v in enumerate(momentum_values(config))]
 
 
 def _check_boson(config: TruncationConfig, boson: int) -> None:

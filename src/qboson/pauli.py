@@ -362,13 +362,3 @@ def pauli_sum_from_text(text: str) -> PauliSum:
         except ValueError:
             raise ValueError(f"malformed pauli-sum line {ln!r} for n_qubits={n_qubits}") from None
     return PauliSum.from_terms(n_qubits, terms)
-
-
-def write_pauli_sum(psum: PauliSum, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(pauli_sum_to_text(psum))
-
-
-def read_pauli_sum(path) -> PauliSum:
-    with open(path) as fh:
-        return pauli_sum_from_text(fh.read())

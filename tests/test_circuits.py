@@ -84,38 +84,35 @@ class TestGateAndCircuit:
 
 class TestQFT:
     def test_single_qubit_is_hadamard(self):
+        # a Hadamard between two phase layers: exp(+-i pi/4) / sqrt(2) on the
+        # grid points +-1/2, in closed form
         circ = qft_circuit(1)
-        assert [g.kind for g in circ] == ["H"]
-        expected = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+        assert [g.kind for g in circ] == ["DIAGPHASE", "H", "DIAGPHASE", "PHASE"]
+        expected = np.exp(0.25j * np.pi) * np.array([[1, -1j], [-1j, 1]]) / math.sqrt(2)
         assert np.abs(circuit_matrix(circ) - expected).max() < 1e-15
 
-    def test_plain_matches_dft(self):
-        for q in range(1, 5):
-            dim = 1 << q
-            dft = np.exp(2j * np.pi * np.outer(np.arange(dim), np.arange(dim)) / dim)
-            assert np.abs(circuit_matrix(qft_circuit(q)) - dft / math.sqrt(dim)).max() < 1e-12
-
     def test_gate_count_structure(self):
+        # Q H, Q(Q-1)/2 CPHASE, Q//2 SWAP, 2Q DIAGPHASE and one global PHASE
         counts = qft_circuit(3).counts()
-        assert counts == {"H": 3, "CPHASE": 3, "SWAP": 1}
+        assert counts == {"H": 3, "CPHASE": 3, "SWAP": 1, "DIAGPHASE": 6, "PHASE": 1}
         counts5 = qft_circuit(5).counts()
-        assert counts5["CPHASE"] == 10 and counts5["H"] == 5
+        assert counts5 == {"H": 5, "CPHASE": 10, "SWAP": 2, "DIAGPHASE": 10, "PHASE": 1}
 
     @pytest.mark.parametrize("q", range(1, 6))
     def test_centered_matches_kernel(self, q):
         # oracle: build exp(i p x)/sqrt(Lambda) from the grids directly
-        u = circuit_matrix(qft_circuit(q, centered=True))
+        u = circuit_matrix(qft_circuit(q))
         assert np.abs(u - fourier_kernel(1 << q)).max() < 1e-10
 
     @pytest.mark.parametrize("q", range(1, 6))
     def test_inverse_identity(self, q):
-        circ = qft_circuit(q, centered=True)
+        circ = qft_circuit(q)
         u = circuit_matrix(circ + circ.inverse())
         assert np.abs(u - np.eye(1 << q)).max() < 1e-10
 
-    @pytest.mark.parametrize("q,centered", [(3, False), (3, True), (4, True)])
-    def test_unitarity(self, q, centered):
-        u = circuit_matrix(qft_circuit(q, centered=centered))
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_unitarity(self, q):
+        u = circuit_matrix(qft_circuit(q))
         assert np.abs(u @ u.conj().T - np.eye(1 << q)).max() < 1e-9
 
 

@@ -168,6 +168,11 @@ class TestNumericFlags:
         assert exc.value.code == 2
         assert f"argument {args[-2]}: must be a positive integer" in capsys.readouterr().err
 
+    def test_reversed_q_range_exit_2(self, spec_file, capsys):
+        code = main(["count", spec_file(ANHARMONIC), "--q-min", "5", "--q-max", "3"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and "bad Q range [5, 3]" in err
+
     def test_zero_tol_accepted(self, capsys):
         code, out = run_cli(["table1", "--q-max", "3", "--tol", "0"], capsys)
         assert code == 0 and out.strip().endswith("3,8,12,12,12,True")
@@ -220,6 +225,13 @@ class TestFit:
         csv_path = tmp_path / "short.csv"
         csv_path.write_text("Q,n_pauli\n2,4\n3,12\n4,32\n")
         assert main(["fit", str(csv_path)]) == 2
+
+    def test_no_tol_option(self, tmp_path, capsys):
+        # fit has nothing to prune or verify: --tol is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", str(tmp_path / "series.csv"), "--tol", "1e-9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 class TestTrotter:
@@ -285,7 +297,9 @@ class TestTrotter:
                    potential=[{"coeff": 1.0, "exponents": [2]}])
         code = main(["trotter", spec_file(doc), "--time", "1", "--steps", "2", "--verify"])
         assert code == 3
-        assert "capped at 12 qubits" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "capped at 12 qubits" in err
+        assert all(word in err for word in ("--verify", "spec.json", "got 13")), err
 
     def test_verify_tol_exit_4(self, spec_file, capsys):
         path = spec_file(ANHARMONIC)
@@ -411,6 +425,7 @@ OVERFLOW = {
                          potential=[{"coeff": 1e305, "exponents": [4]}]),
                     ["count", "trotter", "blockenc", "blockenc --verify"]),
 }
+X_AT_1E200 = dict(ANHARMONIC, radius=1e200, potential=[{"coeff": 1.0, "exponents": [1]}])
 # (spec, argv with the spec path left out, words the refusal names)
 COERCED = {
     "time-overflows-angles": (dict(ANHARMONIC, potential=[{"coeff": 1.0, "exponents": [4]}]),
@@ -432,6 +447,26 @@ COERCED = {
     "zsum-underflows": (dict(ANHARMONIC, qubits_per_boson=4, radius=1e-300,
                              potential=[{"coeff": 1.0, "exponents": [4]}]),
                         ["count"], ["underflows", "radius 1e-300", "degree 4"]),
+    # the whole-term scale is finite, the weight-4 strings round to 0.0
+    "zsum-strings-underflow": (dict(ANHARMONIC, qubits_per_boson=6, radius=1e-80,
+                                    potential=[{"coeff": 1.0, "exponents": [4]}]),
+                               ["count"],
+                               ["underflows", "radius 1e-80", "degree 4", "qubits_per_boson 6"]),
+    # the angles are finite, the reference's E t is not
+    "time-overflows-propagator": (
+        dict(ANHARMONIC, potential=[{"coeff": 1.0, "exponents": [4]}]),
+        ["trotter", "--time", "1e307", "--steps", "2", "--verify"],
+        ["--time 1e+307", "--steps 2", "spec.json", "propagator"]),
+    "time-overflows-layer-phases": (
+        dict(ANHARMONIC, potential=[{"coeff": 1.0, "exponents": [4]}]),
+        ["trotter", "--time", "2.7e307", "--steps", "2", "--verify"],
+        ["--time 2.7e+307", "--steps 2", "spec.json",
+         "kinetic layer's phase angles are not finite"]),
+    # a potential of degree 1 stays finite where the kinetic term vanishes
+    "kinetic-vanishes-trotter": (X_AT_1E200, ["trotter", "--time", "1", "--steps", "2"],
+                                 ["kinetic term", "underflows", "radius 1e+200"]),
+    "kinetic-vanishes-blockenc": (X_AT_1E200, ["blockenc"],
+                                  ["kinetic term", "underflows", "radius 1e+200"]),
 }
 # (fock parameters, degree of the potential): x would divide by zero, vanish, or
 # have a power past the float range

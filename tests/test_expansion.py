@@ -14,17 +14,18 @@ from qboson import (CapExceededError, HamiltonianSpec, Monomial, PolynomialPoten
 from qboson.cli import main
 
 
-def dict_product_expansion(spec, zsum=position_zsum, monomials=None):
+def dict_product_expansion(spec, zsum=position_zsum, monomials=None, number=float):
     """The oracle: multiply out every monomial one Z-sum factor at a time in a
-    z_mask -> coefficient dict (sigma_z**2 = I as XOR), then add monomials."""
+    z_mask -> coefficient dict (sigma_z**2 = I as XOR), then add monomials.
+    With ``number=Fraction`` every product and sum is exact."""
     cfg = spec.config
     if monomials is None:
         monomials = [(m.coefficient, m.exponents) for m in spec.potential.terms]
     total: dict[int, float] = {}
     for coeff, exponents in monomials:
-        cur = {0: coeff}
+        cur = {0: number(coeff)}
         for boson in sorted(exponents):
-            factor = [(t.z_mask, t.coefficient.real) for t in zsum(cfg, boson)]
+            factor = [(t.z_mask, number(t.coefficient.real)) for t in zsum(cfg, boson)]
             for _ in range(exponents[boson]):
                 out: dict[int, float] = {}
                 for mask, c in cur.items():
@@ -32,7 +33,7 @@ def dict_product_expansion(spec, zsum=position_zsum, monomials=None):
                         out[mask ^ bit] = out.get(mask ^ bit, 0.0) + c * w
                 cur = out
         for mask, c in cur.items():
-            total[mask] = total.get(mask, 0.0) + c
+            total[mask] = total.get(mask, 0) + c
     return total
 
 
@@ -189,6 +190,48 @@ class TestExactZeros:
     def test_equal_monomials_cancel(self):
         spec = spec_of(2, 3, 1.0, [(0.7, [3, 1]), (-0.7, [3, 1]), (1.0, [0, 2])])
         assert set(table(expand_potential_zsum(spec))) == {0, 0b011000, 0b101000, 0b110000}
+
+    @pytest.mark.parametrize("bosons,first,second,target", [
+        (1, [2], [4], 0b011),  # qubits 0 and 1: one of the three pairs
+        (2, [1, 2], [3, 4], 0b011_010),  # qubit 1 of boson 0, qubits 0 and 1 of boson 1
+    ], ids=["one-boson", "cross-term"])
+    def test_one_string_of_weight_above_zero_cancels(self, bosons, first, second, target):
+        # c x**first + x**second with c chosen in rationals so that the target
+        # string, and no other, cancels: each string's rationals must be those
+        # of its own mask, not of another row or another boson's qubits
+        q, radius = 3, 1.5
+        unit = [dict_product_expansion(spec_of(bosons, q, radius, [(1.0, e)]), number=Fraction)
+                for e in (first, second)]
+        c = -unit[1][target] / unit[0][target]
+        assert float(c) == c
+        terms = [(float(c), first), (1.0, second)]
+        spec = spec_of(bosons, q, radius, terms)
+        exact = dict_product_expansion(spec, number=Fraction)
+        assert [mask for mask, v in exact.items() if v == 0] == [target]
+        new = table(expand_potential_zsum(spec))
+        assert set(new) == set(exact) - {target}
+        old = dict_product_expansion(spec)
+        scale = dict_product_expansion(spec, monomials=[(abs(c), dict(enumerate(e)))
+                                                        for c, e in terms])
+        for mask, value in new.items():
+            assert value == pytest.approx(float(exact[mask]), rel=1e-13)
+            assert abs(value - old[mask]) <= 1e-13 * abs(scale[mask])
+
+
+class TestUnderflow:
+    def test_weight_four_strings_kept_at_1e_78(self):
+        psum = expand_potential_zsum(spec_of(1, 6, 1e-78, [(1.0, [4])]))
+        assert len(psum) == 1 + math.comb(6, 2) + math.comb(6, 4)
+
+    @pytest.mark.parametrize("terms,degree", [
+        ([(1.0, [4])], 4),  # one sign: the weight-4 strings round to 0.0
+        ([(1e-82, [6]), (-0.1, [8])], 8),  # mixed signs: nonzero in rationals, 0.0 in floats
+    ], ids=["one-sign", "mixed-signs"])
+    def test_underflowed_string_refused(self, terms, degree):
+        radius = 1e-80 if degree == 4 else 1e-40
+        with pytest.raises(ValueError, match=f"degree {degree} underflows to zero at radius "
+                                             f"{radius!r} with qubits_per_boson 6"):
+            expand_potential_zsum(spec_of(1, 6, radius, terms))
 
 
 class TestWideRegisters:

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qboson import (FockParams, TruncationConfig, coordinate_grid,
-                    coordinate_values, fock_ladder, fock_p, fock_x,
-                    fourier_kernel, momentum_grid, momentum_zsum,
+from qboson import (FockParams, TruncationConfig, coordinate_values,
+                    fock_ladder, fock_p, fock_x, fourier_kernel,
+                    momentum_values, momentum_zsum,
                     p2_finite_difference, position_zsum, reconstruct,
                     shift_matrix)
 
@@ -43,12 +43,12 @@ class TestTruncationConfig:
 
 class TestGrids:
     def test_q1_points(self):
-        grid = coordinate_grid(TruncationConfig(1, 1, radius=1.0))
-        assert [p.value for p in grid] == [-0.5, 0.5]
+        grid = coordinate_values(TruncationConfig(1, 1, radius=1.0))
+        assert grid.tolist() == [-0.5, 0.5]
 
     def test_q2_points(self):
-        grid = coordinate_grid(TruncationConfig(1, 2, radius=2.0))
-        assert [p.value for p in grid] == [-1.5, -0.5, 0.5, 1.5]
+        grid = coordinate_values(TruncationConfig(1, 2, radius=2.0))
+        assert grid.tolist() == [-1.5, -0.5, 0.5, 1.5]
 
     def test_q3_symmetric_half_integers(self):
         vals = coordinate_values(TruncationConfig(1, 3, radius=4.0))
@@ -62,7 +62,7 @@ class TestGrids:
 
     def test_momentum_grid_uses_dp(self):
         cfg = TruncationConfig(1, 2, radius=math.pi)  # dp = 1
-        assert [p.value for p in momentum_grid(cfg)] == [-1.5, -0.5, 0.5, 1.5]
+        assert momentum_values(cfg).tolist() == [-1.5, -0.5, 0.5, 1.5]
 
 
 class TestPositionZsum:

@@ -141,7 +141,7 @@ class TestApplyCircuit:
 
     def test_qft_column_matches_kernel(self):
         q = 2
-        out = apply_circuit(qft_circuit(q, centered=True), StateVector.basis_state(q, 0))
+        out = apply_circuit(qft_circuit(q), StateVector.basis_state(q, 0))
         assert np.abs(out.amplitudes - fourier_kernel(4)[:, 0]).max() < 1e-12
 
     def test_cnot_little_endian(self):
@@ -187,7 +187,7 @@ class TestCircuitMatrix:
         assert np.allclose(u, np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)]))
 
     def test_matches_column_by_column_application(self):
-        circ = qft_circuit(3, centered=True)
+        circ = qft_circuit(3)
         u = circuit_matrix(circ)
         for k in [0, 3, 7]:
             col = apply_circuit(circ, StateVector.basis_state(3, k)).amplitudes
