@@ -9,14 +9,13 @@ only where it is read (here, for its unitarity).
 """
 import numpy as np
 
-from qboson import (HamiltonianSpec, PauliSum, PauliTerm, PolynomialPotential,
-                    TruncationConfig, assemble_hamiltonian_matrix, block_encode,
+from qboson import (HamiltonianSpec, PauliTerm, PolynomialPotential, TruncationConfig,
+                    assemble_hamiltonian_matrix, block_encode, pauli_sum_from_text,
                     verify_block_encoding)
 from qboson.blockenc import BlockEncoding, build_plan, prepare_G
 
 # toy case first: H = X + Z on one qubit, lambda = 2, one ancilla
-toy = build_plan(PauliSum.from_terms(1, [PauliTerm.from_label("X", 1.0),
-                                         PauliTerm.from_label("Z", 1.0)]))
+toy = build_plan(pauli_sum_from_text("# pauli-sum n_qubits=1\nX 1 0\nZ 1 0\n"))
 enc = BlockEncoding(toy, prepare_G(toy))  # verify reads the branches: no select is built
 h_toy = np.array([[1.0, 1.0], [1.0, -1.0]])
 print("toy H = X + Z:")

@@ -118,11 +118,11 @@ def cmd_fit(args):
     try:
         with open(args.series) as fh:
             series = series_from_csv(fh.read())
+        result = fit_scaling(series)
     except OSError as exc:
         raise SpecFileError(f"cannot read {args.series}: {exc}") from exc
-    except ValueError as exc:
-        raise SpecFileError(str(exc)) from exc
-    result = fit_scaling(series)
+    except ValueError as exc:  # the series, its CSV or its text encoding
+        raise SpecFileError(f"{args.series}: {exc}") from exc
     header = ["a", "b", "c", "residual_rms", "var_a", "var_b", "var_c"]
     row = [result.a, result.b, result.c, result.residual_rms, *result.covariance_diag]
     doc = {"a": result.a, "b": result.b, "c": result.c,

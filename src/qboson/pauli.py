@@ -11,7 +11,7 @@ import cmath
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -20,11 +20,9 @@ from .sparse import SparseOperator, merge_rows
 # coefficients below RELATIVE_PRUNE_TOL * max|coeff| are dropped when pruning
 RELATIVE_PRUNE_TOL = 1e-12
 
-_LETTERS = ("I", "X", "Z", "Y")  # indexed by x_bit + 2*z_bit
+_LETTERS = "IXZY"  # indexed by the code x_bit + 2*z_bit; the text reader and writer share it
 
 I_POWERS = np.array([1, 1j, -1, -1j])  # i**k for k mod 4; conjugate gives (-i)**k
-
-_WORD = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -66,20 +64,6 @@ class PauliTerm:
         s = "".join(self.letter(j) for j in range(self.n_qubits))
         return s[::-1] if msb_first else s
 
-    @classmethod
-    def from_label(cls, label: str, coefficient: complex = 1.0,
-                   msb_first: bool = True) -> "PauliTerm":
-        s = label[::-1] if msb_first else label
-        x = z = 0
-        for j, ch in enumerate(s):
-            try:
-                code = _LETTERS.index(ch)
-            except ValueError:
-                raise ValueError(f"invalid Pauli letter {ch!r} in {label!r}") from None
-            x |= (code & 1) << j
-            z |= (code >> 1) << j
-        return cls(len(s), x, z, coefficient)
-
     def string_matrix(self) -> SparseOperator:
         """Matrix of the bare string (unit coefficient), with exact Y phases."""
         rows = np.arange(1 << self.n_qubits)
@@ -117,22 +101,17 @@ def mask_bits(words: np.ndarray, n_qubits: int) -> np.ndarray:
     return (words[:, qubit >> 6] >> (qubit & 63).astype(np.uint64)) & np.uint64(1)
 
 
+def _bits_to_words(bits: np.ndarray, n_qubits: int) -> np.ndarray:
+    """``(len, W)`` uint64 words of a ``(len, n_qubits)`` 0/1 array; inverse of mask_bits."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    out = np.zeros((len(bits), 8 * mask_words(n_qubits)), dtype=np.uint8)
+    out[:, :packed.shape[1]] = packed
+    return out.view("<u8")
+
+
 def _popcount(words: np.ndarray) -> np.ndarray:
     """Set bits per row of a word array, as int64."""
     return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-
-
-def _to_words(masks: list[int], n_words: int) -> np.ndarray:
-    """Python-int masks as a ``(len, n_words)`` uint64 array, low word first."""
-    return np.array([[(m >> (64 * k)) & _WORD for k in range(n_words)] for m in masks],
-                    dtype=np.uint64).reshape(len(masks), n_words)
-
-
-def _int_columns(n_qubits: int, keys: list[tuple[int, int]], coeffs: list):
-    """Canonical columns from (x_mask, z_mask) Python-int pairs."""
-    w = mask_words(n_qubits)
-    return _canonical(_to_words([x for x, _ in keys], w), _to_words([z for _, z in keys], w),
-                      np.array(coeffs, dtype=np.complex128))
 
 
 def _to_ints(words: np.ndarray) -> list[int]:
@@ -158,21 +137,18 @@ class PauliSum:
     ``W = mask_words(n_qubits)``; word ``k`` carries qubits ``64k .. 64k+63``.
     ``coeffs`` is complex128. Rows are unique by (x_mask, z_mask) and kept in
     canonical order: by weight, then x_mask, then z_mask. Merging keeps exact
-    zeros; ``prune`` drops them.
+    zeros; ``prune`` drops them. ``PauliSum(n)`` is the empty sum; ``from_arrays``
+    and ``pauli_sum_from_text`` build every other.
     """
 
     __slots__ = ("n_qubits", "x_words", "z_words", "coeffs")
 
-    def __init__(self, n_qubits: int,
-                 coeffs: dict[tuple[int, int], complex] | None = None):
+    def __init__(self, n_qubits: int):
         if n_qubits < 1:
             raise ValueError("n_qubits must be positive")
-        keys = list(coeffs or {})
-        if any((x | z) >> n_qubits for x, z in keys):
-            raise ValueError("mask does not fit in n_qubits bits")
         self.n_qubits = n_qubits
-        self.x_words, self.z_words, self.coeffs = _int_columns(
-            n_qubits, keys, [coeffs[k] for k in keys])
+        self.x_words = self.z_words = np.zeros((0, mask_words(n_qubits)), dtype=np.uint64)
+        self.coeffs = np.zeros(0, dtype=np.complex128)
 
     @classmethod
     def _wrap(cls, n_qubits: int, x, z, c) -> "PauliSum":
@@ -198,14 +174,6 @@ class PauliSum:
         if n_qubits % 64 and c.size and ((x[:, -1] | z[:, -1]) >> (n_qubits % 64)).any():
             raise ValueError("mask does not fit in n_qubits bits")
         return cls._wrap(n_qubits, *_canonical(x, z, c))
-
-    @classmethod
-    def from_terms(cls, n_qubits: int, terms: Iterable[PauliTerm]) -> "PauliSum":
-        terms = list(terms)
-        if any(t.n_qubits != n_qubits for t in terms):
-            raise ValueError("term qubit count mismatch")
-        return cls._wrap(n_qubits, *_int_columns(
-            n_qubits, [(t.x_mask, t.z_mask) for t in terms], [t.coefficient for t in terms]))
 
     def _key(self, i: int) -> tuple[int, int, int]:
         x, z = _to_ints(self.x_words[i:i + 1])[0], _to_ints(self.z_words[i:i + 1])[0]
@@ -267,11 +235,9 @@ class PauliSum:
         return f"PauliSum(n_qubits={self.n_qubits}, n_terms={len(self)})"
 
 
-def count_strings(psum: PauliSum, tol: float = 0.0) -> int:
-    """Number of strings with |coefficient| > tol (absolute)."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    return int(np.count_nonzero(np.abs(psum.coeffs) > tol))
+def count_strings(psum: PauliSum) -> int:
+    """Number of strings with a nonzero coefficient."""
+    return int(np.count_nonzero(np.abs(psum.coeffs) > 0))
 
 
 @dataclass
@@ -287,13 +253,14 @@ class StringCensus:
         return sorted(self.by_length)
 
 
-def string_census(psum: PauliSum, tol: float = 0.0) -> StringCensus:
-    """Histogram strings by length with per-length #Y and letter tallies, from mask
-    popcounts alone: #Y |x&z|, #X |x| - #Y, #Z |z| - #Y, length #X + #Y + #Z.
+def string_census(psum: PauliSum) -> StringCensus:
+    """Histogram the strings with a nonzero coefficient by length, with per-length #Y
+    and letter tallies, from mask popcounts alone: #Y |x&z|, #X |x| - #Y,
+    #Z |z| - #Y, length #X + #Y + #Z.
 
     The three popcounts of each string are packed into one integer and counted
     with ``np.unique``, so the work per string is a few array passes."""
-    keep = np.abs(psum.coeffs) > tol
+    keep = np.abs(psum.coeffs) > 0
     x, z = psum.x_words, psum.z_words
     if not keep.all():
         x, z = x[keep], z[keep]
@@ -327,11 +294,13 @@ def string_census(psum: PauliSum, tol: float = 0.0) -> StringCensus:
 # One term per line: "<letters> <re> <im>", most-significant qubit leftmost.
 
 TEXT_QUBIT_LIMIT = 1 << 20  # largest n_qubits a pauli-sum header may declare
+_CODES = np.zeros(256, dtype=np.uint8)  # letter byte -> code, the inverse of _LETTERS
+_CODES[np.frombuffer(_LETTERS.encode(), np.uint8)] = np.arange(4)
 
 def pauli_sum_to_text(psum: PauliSum) -> str:
     n = psum.n_qubits
     codes = mask_bits(psum.x_words, n) + 2 * mask_bits(psum.z_words, n)
-    letters = np.frombuffer(b"IXZY", np.uint8)[codes][:, ::-1]  # msb leftmost
+    letters = np.frombuffer(_LETTERS.encode(), np.uint8)[codes][:, ::-1]  # msb leftmost
     labels = np.ascontiguousarray(letters).view(f"S{n}").ravel()
     lines = [f"# pauli-sum n_qubits={n} ordering=msb-left"]
     lines += [f"{label.decode()} {c.real:.16e} {c.imag:.16e}"
@@ -340,6 +309,11 @@ def pauli_sum_to_text(psum: PauliSum) -> str:
 
 
 def pauli_sum_from_text(text: str) -> PauliSum:
+    """Inverse of ``pauli_sum_to_text``; duplicate labels are added in file order.
+
+    Each line is checked in file order; the first malformed one is named. The
+    checked labels then become mask words in one pass.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("# pauli-sum"):
         raise ValueError("missing pauli-sum header line")
@@ -351,14 +325,20 @@ def pauli_sum_from_text(text: str) -> PauliSum:
             raise ValueError
     except (KeyError, ValueError):
         raise ValueError(f"malformed pauli-sum header {lines[0]!r}") from None
-    terms = []
+    labels, coeffs = [], []
     for ln in lines[1:]:
         try:
             label, re_s, im_s = ln.split()
             coeff = complex(float(re_s), float(im_s))
-            if len(label) != n_qubits or not cmath.isfinite(coeff):
+            # strip leaves the label empty only when every letter is one of IXZY
+            if len(label) != n_qubits or not cmath.isfinite(coeff) or label.strip(_LETTERS):
                 raise ValueError
-            terms.append(PauliTerm.from_label(label, coeff, msb_first=msb_first))
         except ValueError:
             raise ValueError(f"malformed pauli-sum line {ln!r} for n_qubits={n_qubits}") from None
-    return PauliSum.from_terms(n_qubits, terms)
+        labels.append(label)
+        coeffs.append(coeff)
+    codes = _CODES[np.frombuffer("".join(labels).encode(), np.uint8).reshape(-1, n_qubits)]
+    if msb_first:
+        codes = codes[:, ::-1]
+    return PauliSum.from_arrays(n_qubits, _bits_to_words(codes & 1, n_qubits),
+                                _bits_to_words(codes >> 1, n_qubits), coeffs)

@@ -23,6 +23,8 @@ class ScalingSeries:
             raise ValueError("qs and n_pauli must have equal length")
         if any(q2 <= q1 for q1, q2 in zip(self.qs, self.qs[1:])):
             raise ValueError("Q values must be strictly increasing")
+        if any(q < 1 for q in self.qs):  # the fit divides by Q and takes ln Q
+            raise ValueError("Q values must be >= 1")
         if any(n < 1 for n in self.n_pauli):
             raise ValueError("string counts must be >= 1")
 
@@ -84,14 +86,29 @@ def series_to_csv(series: ScalingSeries) -> str:
 
 
 def series_from_csv(text: str) -> ScalingSeries:
+    """Read the Q and n_pauli columns; a bad cell is named by its CSV line and column."""
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None:
         raise ValueError("empty CSV")
     cols = {name.lower().strip(): name for name in reader.fieldnames}
     if "q" not in cols or "n_pauli" not in cols:
         raise ValueError(f"need columns Q and n_pauli, got {reader.fieldnames}")
+
+    def cell(row, column) -> int:
+        where, text = f"line {reader.line_num}, column {column}", row[column]
+        if text is None:
+            raise ValueError(f"{where}: missing cell")
+        try:
+            value = int(text)
+            float(value)  # the fit works in floats
+        except ValueError:
+            raise ValueError(f"{where}: {text!r} is not an integer") from None
+        except OverflowError:
+            raise ValueError(f"{where}: {text!r} is past the float range") from None
+        return value
+
     qs, ns = [], []
     for row in reader:
-        qs.append(int(row[cols["q"]]))
-        ns.append(int(row[cols["n_pauli"]]))
+        qs.append(cell(row, cols["q"]))
+        ns.append(cell(row, cols["n_pauli"]))
     return ScalingSeries(tuple(qs), tuple(ns))

@@ -1,4 +1,7 @@
-"""Frozen reference data shared between the unit and acceptance suites."""
+"""Frozen reference data and a sum builder shared between the test modules."""
+import numpy as np
+
+from qboson import PauliSum
 
 # Pauli-string counts of the Fock-basis coordinate/momentum operators for
 # Q = 1..14; equals Q * 2**(Q-1) throughout the tested range.
@@ -22,3 +25,14 @@ SHIFT_SECTORS = {
                 "XYYYY": -1, "YXYYY": -1, "YYXYY": -1, "YYYXY": -1,
                 "YYYYX": 1}),
 }
+
+
+def sum_from_masks(n, entries):
+    """``PauliSum.from_arrays`` of ``((x_mask, z_mask), coefficient)`` pairs whose
+    masks are Python ints, split into 64-bit words, low word first."""
+    def words(masks):
+        return np.array([[(m >> s) & (2**64 - 1) for s in range(0, n, 64)] for m in masks],
+                        dtype=np.uint64).reshape(-1, (n + 63) // 64)
+    keys = [key for key, _ in entries]
+    return PauliSum.from_arrays(n, words(x for x, _ in keys), words(z for _, z in keys),
+                                [c for _, c in entries])

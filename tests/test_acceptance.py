@@ -129,11 +129,10 @@ def test_trotter_order():
 @criterion("block encoding: (<G|(x)I) U (|G>(x)I) = H/lambda to 1e-10; U unitary to 1e-9")
 def test_block_encoding_identity():
     from qboson.blockenc import BlockEncoding, build_plan, build_select, prepare_G
-    from qboson import PauliSum, PauliTerm
+    from qboson import pauli_sum_from_text
 
     # toy X + Z
-    toy_sum = PauliSum.from_terms(1, [PauliTerm.from_label("X", 1.0),
-                                      PauliTerm.from_label("Z", 1.0)])
+    toy_sum = pauli_sum_from_text("# pauli-sum n_qubits=1\nX 1 0\nZ 1 0\n")
     plan = build_plan(toy_sum)
     toy = BlockEncoding(plan, prepare_G(plan))
     assert np.array_equal(toy.select.to_dense(), build_select(plan).to_dense())

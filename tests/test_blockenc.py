@@ -13,7 +13,7 @@ import qboson.blockenc
 from qboson import (HamiltonianSpec, Monomial, PauliSum, PauliTerm, PolynomialPotential,
                     TruncationConfig, assemble_hamiltonian_matrix, block_encode,
                     build_plan, build_select, fourier_kernel, load_hamiltonian_spec,
-                    plan_from_spec, prepare_G, verify_block_encoding)
+                    pauli_sum_from_text, plan_from_spec, prepare_G, verify_block_encoding)
 from qboson.blockenc import BlockEncoding
 from qboson.cli import main
 from qboson.operators import fourier_kernel_multi
@@ -21,7 +21,9 @@ from qboson.sparse import SparseOperator
 
 
 def sum_from_labels(n, entries):
-    return PauliSum.from_terms(n, [PauliTerm.from_label(l, c) for l, c in entries])
+    """The Pauli text of (label, coefficient) pairs, read back as a sum."""
+    lines = [f"{l} {complex(c).real!r} {complex(c).imag!r}" for l, c in entries]
+    return pauli_sum_from_text("\n".join([f"# pauli-sum n_qubits={n}", *lines]))
 
 
 PAULI = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),

@@ -11,6 +11,7 @@ from qboson import (Circuit, Gate, HamiltonianSpec, KineticScheme, Monomial,
                     fourier_kernel, potential_grid_diagonal, qft_circuit,
                     trotter_evolution, trotter_step, zstring_rotation)
 from qboson.circuits import _rotation_layer
+from refdata import sum_from_masks
 
 
 class TestGateAndCircuit:
@@ -160,15 +161,14 @@ class TestRotationLayer:
         masks = {0} | {int(m) for m in rng.integers(0, 1 << min(n, 62), 12)}
         if n > 64:
             masks |= {1 << 69, (1 << 69) | (1 << 63) | 5}  # straddle the word boundary
-        psum = PauliSum.from_terms(n, [PauliTerm(n, 0, m, complex(rng.uniform(-2, 2), 0.1))
-                                       for m in masks])
+        psum = sum_from_masks(n, [((0, m), complex(rng.uniform(-2, 2), 0.1)) for m in masks])
         expected = [g for t in psum.terms() for g in
                     zstring_rotation(PauliTerm(n, 0, t.z_mask), t.coefficient.real * 0.3)]
         assert _rotation_layer(psum, 0.3).gates == expected
 
     @pytest.mark.parametrize("coeff", [math.inf, math.nan])
     def test_rejects_non_finite_angle(self, coeff):
-        psum = PauliSum.from_terms(2, [PauliTerm(2, 0, 0b01, 1.0), PauliTerm(2, 0, 0b11, coeff)])
+        psum = PauliSum.from_arrays(2, [0, 0], [0b01, 0b11], [1.0, coeff])
         with pytest.raises(ValueError, match="finite"):
             _rotation_layer(psum, 0.1)
 

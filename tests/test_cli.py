@@ -201,6 +201,20 @@ class TestNumericFlags:
         assert "argument --steps:" in capsys.readouterr().err
 
 
+# (series CSV, what the refusal names after the file path)
+BAD_SERIES = {
+    "short-row": ("Q,n_pauli\n2,4\n3\n", "line 3, column n_pauli: missing cell"),
+    "float-cell": ("Q,n_pauli\n2,4\n3,1e400\n",
+                   "line 3, column n_pauli: '1e400' is not an integer"),
+    "word-cell": ("Q,n_pauli\n2,4\nx,12\n", "line 3, column Q: 'x' is not an integer"),
+    "past-float-range": (f"Q,n_pauli\n2,{10**400}\n",
+                         f"line 2, column n_pauli: '{10**400}' is past the float range"),
+    "q-zero": ("Q,n_pauli\n0,1\n1,4\n2,12\n3,32\n", "Q values must be >= 1"),
+    "q-decreasing": ("Q,n_pauli\n3,4\n2,12\n", "Q values must be strictly increasing"),
+    "empty": ("", "empty CSV"),
+}
+
+
 class TestFit:
     def test_exact_series(self, tmp_path, capsys):
         csv_path = tmp_path / "series.csv"
@@ -225,6 +239,23 @@ class TestFit:
         csv_path = tmp_path / "short.csv"
         csv_path.write_text("Q,n_pauli\n2,4\n3,12\n4,32\n")
         assert main(["fit", str(csv_path)]) == 2
+
+    @pytest.mark.parametrize("name", sorted(BAD_SERIES))
+    def test_malformed_series_named(self, name, tmp_path, capsys):
+        body, named = BAD_SERIES[name]
+        csv_path = tmp_path / "series.csv"
+        csv_path.write_text(body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fit", str(csv_path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {csv_path}: ") and named in err
+
+    def test_missing_series_named(self, tmp_path, capsys):
+        path = tmp_path / "absent.csv"
+        assert main(["fit", str(path)]) == 2
+        assert f"cannot read {path}" in capsys.readouterr().err
 
     def test_no_tol_option(self, tmp_path, capsys):
         # fit has nothing to prune or verify: --tol is a usage error
@@ -467,6 +498,13 @@ COERCED = {
                                  ["kinetic term", "underflows", "radius 1e+200"]),
     "kinetic-vanishes-blockenc": (X_AT_1E200, ["blockenc"],
                                   ["kinetic term", "underflows", "radius 1e+200"]),
+    # refused by the spec reader
+    "top-level-array": ([ANHARMONIC], ["count"], ["spec.json", "top-level JSON object"]),
+    "negative-exponent": (dict(ANHARMONIC, potential=[{"coeff": 1.0, "exponents": [-2]}]),
+                          ["count"], ["potential term 0", "nonnegative"]),
+    "finite-difference-without-radius": (
+        dict(FOCK_DOUBLE_WELL, kinetic_scheme="finite-difference-open"), ["count"],
+        ["finite-difference", "radius"]),
 }
 # (fock parameters, degree of the potential): x would divide by zero, vanish, or
 # have a power past the float range
@@ -519,8 +557,9 @@ class TestRefusals:
 
     @pytest.mark.parametrize("name", sorted(COERCED))
     def test_coerced_input_exit_2(self, name, spec_file, capsys):
-        # each once ran to exit 0, or to exit 2 with a RuntimeWarning and a message
-        # that named no input; no warning escapes now
+        # each exits 2 naming its input, with no warning; all but the spec reader's
+        # cases once ran to exit 0, or to exit 2 with a RuntimeWarning and a message
+        # that named no input
         doc, argv, named = COERCED[name]
         with warnings.catch_warnings():
             warnings.simplefilter("error")

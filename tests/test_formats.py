@@ -11,12 +11,13 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from qboson import (Circuit, Gate, PauliSum, SpecFileError, circuit_from_text,
-                    circuit_to_text, hamiltonian_spec_from_dict, load_hamiltonian_spec,
-                    pauli_sum_from_text, pauli_sum_to_text)
+from qboson import (Circuit, Gate, SpecFileError, circuit_from_text, circuit_to_text,
+                    hamiltonian_spec_from_dict, load_hamiltonian_spec, pauli_sum_from_text,
+                    pauli_sum_to_text)
 from qboson.circuits import GATE_ARITY
 from qboson.cli import main
 from qboson.pauli import TEXT_QUBIT_LIMIT
+from refdata import sum_from_masks
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
 JSON_VALUES = st.recursive(
@@ -32,7 +33,7 @@ def pauli_sums(draw):
     masks = st.integers(0, (1 << n) - 1)
     coeffs = draw(st.dictionaries(st.tuples(masks, masks), st.complex_numbers(
         allow_nan=False, allow_infinity=False), max_size=12))
-    return PauliSum(n, coeffs)
+    return sum_from_masks(n, list(coeffs.items()))
 
 
 def as_table(psum):
@@ -63,9 +64,20 @@ class TestPauliText:
             f"{label} nan {im_s}", f"{label} {re_s} -inf", f"{label} 1e999 {im_s}",
             f"{label} {re_s} one"]))
         lines[i] = bad
+        # lines are checked in file order: a later bad letter or number is not named
+        lines += [f"{label[:-1]}Q {re_s} {im_s}", f"{label} one {im_s}"]
         with pytest.raises(ValueError) as exc:
             pauli_sum_from_text("\n".join(lines))
         assert f"malformed pauli-sum line {bad!r}" in str(exc.value)
+
+    def test_duplicates_add_in_file_order(self):
+        # (0.1 + 0.2) + 0.3 is 0.6000000000000001; 0.1 + (0.2 + 0.3) is 0.6
+        psum = pauli_sum_from_text("# pauli-sum n_qubits=2\nXZ 0.1 -0.3\nZI 1 0\n"
+                                   "XZ 0.2 -0.2\nXZ 0.3 -0.1\n")
+        assert len(psum) == 2
+        merged = psum.coefficient(0b10, 0b01)
+        assert merged.real == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+        assert merged.imag == (-0.3 + -0.2) + -0.1
 
     @given(value=st.text(alphabet="0123456789-+= x", max_size=20) | st.integers().map(str))
     @settings(max_examples=100, deadline=None)
