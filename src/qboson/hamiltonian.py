@@ -7,6 +7,8 @@ dense-basis alternatives whose decompositions grow exponentially.
 """
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import json
 import math
@@ -22,9 +24,10 @@ from .errors import CapExceededError, SpecFileError
 from .operators import (FockParams, TruncationConfig, coordinate_values, fock_p,
                         fock_x, momentum_values, p2_finite_difference)
 from .pauli import PauliSum, mask_bits, single_qubit_words
-from .sparse import ZERO_TOL, SparseOperator
+from .sparse import SparseOperator
 
 FOCK_TOTAL_QUBIT_CAP = 14  # dense/banded matrix products stop being desk-scale
+FOCK_BAND_ENTRY_CAP = 1 << 25  # floats the banded powers of x may hold (256 MiB)
 
 
 @dataclass(frozen=True)
@@ -252,6 +255,10 @@ def _zsum(config: TruncationConfig, step: float,
     coefficients may overflow is refused, naming ``what``; so is one with a
     nonzero string that underflows to zero, unless ``vanishing_ok``."""
     q, n = config.qubits_per_boson, config.total_qubits
+    top = max((max(powers, default=0) for _, powers in monomials), default=0)
+    if top >= 170:  # the tables divide by (2r + 1)! up to r = degree // 2; 171! is no float
+        raise ValueError(f"the Z-sum {what} of degree {top} in one boson is past the largest, "
+                         f"169, at qubits_per_boson {q}")
     # monomials with equal exponents share every string; math.fsum rounds their
     # exact sum once, so a group that cancels exactly leaves nothing behind
     groups: dict[tuple[int, ...], list[float]] = {}
@@ -286,9 +293,9 @@ def _zsum(config: TruncationConfig, step: float,
 
 
 def _shape_blocks(q: int, n: int, alpha: float, groups: dict, shapes: dict):
-    """Z masks and nonzero coefficients of every shape, shapes in order of total
-    weight, and the degree of the first shape with a nonzero string that
-    underflowed to 0.0 (None when no string did)."""
+    """Z masks and coefficients of every shape, shapes in order of total weight
+    (zeros included: ``from_arrays`` drops them), and the degree of the first
+    shape with a nonzero string that underflowed to 0.0 (None when none did)."""
     bosons = len(next(iter(shapes)))
     levels = _colex_levels(q, max(max(s) for s in shapes), max(max(p) for p in groups),
                            {k for shape in shapes for k in shape})
@@ -336,11 +343,8 @@ def _shape_blocks(q: int, n: int, alpha: float, groups: dict, shapes: dict):
                 cancelled += not exact
         # past the exact zeros counted above, a 0.0 has underflowed (in a shape
         # of one sign every factor is positive, so each of its zeros has)
-        if not coeff.all():
-            keep = coeff != 0.0
-            if lost is None and keep.size - np.count_nonzero(keep) > cancelled:
-                lost = max(map(sum, shapes[shape]))
-            z, coeff = z[keep], coeff[keep]
+        if lost is None and coeff.size - np.count_nonzero(coeff) > cancelled:
+            lost = max(map(sum, shapes[shape]))
         z_blocks.append(z)
         c_blocks.append(coeff)
     return np.concatenate(z_blocks), np.concatenate(c_blocks), lost
@@ -453,8 +457,8 @@ def _banded_powers(op: SparseOperator, degree: int, what: str = "the operator") 
     """op**0 .. op**degree as bands (row r holds op**m[r, r + o - degree - 1] at
     column o) for a real op with entries only at (j, j +- 1). Each product adds
     op**m[r, c-1] op[c-1, c] + op**m[r, c+1] op[c+1, c] in the order of the
-    ``@`` row join and drops entries at or below ZERO_TOL, as ``@`` does. A
-    power that overflows is refused, naming ``what``, before its NaNs drop."""
+    ``@`` row join. A power that overflows, or has a product that underflows,
+    is refused, naming ``what``, before its NaNs or lost entries drop."""
     pad = degree + 1
     at = np.arange(op.dim)[:, None] + np.arange(1, 2 * pad)  # column + pad
     into = np.zeros((2, op.dim + 2 * pad))
@@ -462,18 +466,27 @@ def _banded_powers(op: SparseOperator, degree: int, what: str = "the operator") 
     left, right = into[:, at]
     powers = [np.zeros((op.dim, 2 * pad + 1))]
     powers[0][:, pad] = 1.0
-    for _ in range(degree):
+    for m in range(1, degree + 1):
         band = np.zeros_like(powers[0])
-        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        with _underflow_refused(lambda problem: ValueError(f"power {m} of {what} {problem}")):
             band[:, 1:-1] = powers[-1][:, :-2] * left + powers[-1][:, 2:] * right
         if not np.isfinite(band).all():
-            raise ValueError(f"power {len(powers)} of {what} is not finite")
-        powers.append(_drop_zeros(band))
+            raise ValueError(f"power {m} of {what} is not finite")
+        powers.append(band)
     return powers
 
 
-def _drop_zeros(band: np.ndarray) -> np.ndarray:
-    return np.where(np.abs(band) > ZERO_TOL, band, 0.0)
+@contextlib.contextmanager
+def _underflow_refused(error):
+    """Raise ``error(problem)`` where a float product of the block underflows:
+    rounds to 0.0, which would drop its entry, or to a subnormal, which keeps
+    few bits (IEEE 754's underflow: tiny and inexact). Overflow is left to the
+    caller."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore", under="raise"):
+            yield
+    except FloatingPointError:
+        raise error("underflows (a product rounds below the normal float range)") from None
 
 
 def _band_operator(band: np.ndarray) -> SparseOperator:
@@ -488,25 +501,31 @@ def _fock_at(operator: str, spec: HamiltonianSpec) -> str:
 
 def fock_potential(spec: HamiltonianSpec) -> SparseOperator:
     """V evaluated on truncated Fock coordinate matrices (truncate, then multiply):
-    one boson adds its monomials as bands, more bosons ``kron`` the powers."""
+    one boson adds its monomials as bands, more bosons ``kron`` the powers.
+    A term that overflows, or has a product that underflows, is refused."""
     cfg = spec.config
     if cfg.total_qubits > FOCK_TOTAL_QUBIT_CAP:
         raise CapExceededError(f"Fock-basis construction capped at {FOCK_TOTAL_QUBIT_CAP} "
                                f"total qubits, got {cfg.total_qubits}")
-    powers = _banded_powers(fock_x(cfg.cutoff, spec.fock_params), spec.potential.degree,
-                            _fock_at("x", spec))
+    tops = [max(mono.exponents.values(), default=0) for mono in spec.potential.terms]
+    degree = max(tops, default=0)  # the highest power of x any one boson takes
+    if (degree + 1) * cfg.cutoff * (2 * degree + 3) > FOCK_BAND_ENTRY_CAP:
+        raise CapExceededError(f"the Fock powers of x to degree {degree} at qubits_per_boson "
+                               f"{cfg.qubits_per_boson} hold more than {FOCK_BAND_ENTRY_CAP} "
+                               "entries")
+    top = f"x (potential term {tops.index(degree)})" if tops else "x"
+    powers = _banded_powers(fock_x(cfg.cutoff, spec.fock_params), degree, _fock_at(top, spec))
     if cfg.bosons == 1:
         total = np.zeros_like(powers[0])
         for i, mono in enumerate(spec.potential.terms):
-            if abs(mono.coefficient) > ZERO_TOL:  # as its 1x1 operator in the kron chain
-                with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-                    total = _drop_zeros(total + _drop_zeros(mono.coefficient * powers[mono.degree]))
-                _require_finite(total, i, spec)
+            with _underflow_refused(functools.partial(_term_error, i, spec)):
+                total = total + mono.coefficient * powers[mono.degree]
+            _require_finite(total, i, spec)
         return _band_operator(total)
     powers = [_band_operator(band) for band in powers]
     total = SparseOperator.zeros(cfg.cutoff ** cfg.bosons)
     for i, mono in enumerate(spec.potential.terms):
-        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        with _underflow_refused(functools.partial(_term_error, i, spec)):
             op = SparseOperator.from_entries(1, [(0, 0, mono.coefficient)])
             for a in range(cfg.bosons - 1, -1, -1):  # high boson first, boson 0 least significant
                 op = op.kron(powers[mono.exponents.get(a, 0)])
@@ -518,10 +537,14 @@ def fock_potential(spec: HamiltonianSpec) -> SparseOperator:
 def _require_finite(values: np.ndarray, term: int, spec: HamiltonianSpec) -> None:
     """Refuse a Fock potential that stopped being finite at potential term ``term``."""
     if not np.isfinite(values).all():
-        mono = spec.potential.terms[term]
-        raise ValueError(f"potential term {term} (coeff {mono.coefficient!r}, degree "
-                         f"{mono.degree}) is not finite on the Fock basis at "
-                         f"qubits_per_boson {spec.config.qubits_per_boson}")
+        raise _term_error(term, spec, "is not finite")
+
+
+def _term_error(term: int, spec: HamiltonianSpec, problem: str) -> ValueError:
+    mono = spec.potential.terms[term]
+    return ValueError(f"potential term {term} (coeff {mono.coefficient!r}, degree "
+                      f"{mono.degree}) {problem} on the Fock basis at qubits_per_boson "
+                      f"{spec.config.qubits_per_boson}, {_fock_at('x', spec)}")
 
 
 def fock_hamiltonian(spec: HamiltonianSpec) -> SparseOperator:

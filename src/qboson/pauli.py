@@ -136,9 +136,10 @@ class PauliSum:
     ``x_words`` and ``z_words`` are ``(len, W)`` uint64 arrays with
     ``W = mask_words(n_qubits)``; word ``k`` carries qubits ``64k .. 64k+63``.
     ``coeffs`` is complex128. Rows are unique by (x_mask, z_mask) and kept in
-    canonical order: by weight, then x_mask, then z_mask. Merging keeps exact
-    zeros; ``prune`` drops them. ``PauliSum(n)`` is the empty sum; ``from_arrays``
-    and ``pauli_sum_from_text`` build every other.
+    canonical order: by weight, then x_mask, then z_mask. No coefficient is
+    zero: every sum goes through ``merge_rows``, which drops exact zeros.
+    ``PauliSum(n)`` is the empty sum; ``from_arrays`` and ``pauli_sum_from_text``
+    build every other.
     """
 
     __slots__ = ("n_qubits", "x_words", "z_words", "coeffs")
@@ -159,7 +160,7 @@ class PauliSum:
 
     @classmethod
     def from_arrays(cls, n_qubits: int, x, z, coeffs) -> "PauliSum":
-        """Sum from mask columns in any order; duplicates are added.
+        """Sum from mask columns in any order; duplicates are added, zeros dropped.
 
         ``x`` and ``z`` are ``(len, W)`` word arrays, or 1-D integer arrays of
         masks when ``n_qubits <= 64``.
@@ -207,7 +208,7 @@ class PauliSum:
             np.concatenate([self.coeffs, other.coeffs])))
 
     def __mul__(self, scalar) -> "PauliSum":
-        return PauliSum._wrap(self.n_qubits, self.x_words, self.z_words, self.coeffs * scalar)
+        return PauliSum.from_arrays(self.n_qubits, self.x_words, self.z_words, self.coeffs * scalar)
 
     __rmul__ = __mul__
 
@@ -236,8 +237,8 @@ class PauliSum:
 
 
 def count_strings(psum: PauliSum) -> int:
-    """Number of strings with a nonzero coefficient."""
-    return int(np.count_nonzero(np.abs(psum.coeffs) > 0))
+    """Number of strings; a sum stores no zero coefficient."""
+    return len(psum)
 
 
 @dataclass
@@ -254,16 +255,13 @@ class StringCensus:
 
 
 def string_census(psum: PauliSum) -> StringCensus:
-    """Histogram the strings with a nonzero coefficient by length, with per-length #Y
-    and letter tallies, from mask popcounts alone: #Y |x&z|, #X |x| - #Y,
-    #Z |z| - #Y, length #X + #Y + #Z.
+    """Histogram the strings by length, with per-length #Y and letter tallies,
+    from mask popcounts alone: #Y |x&z|, #X |x| - #Y, #Z |z| - #Y, length
+    #X + #Y + #Z.
 
     The three popcounts of each string are packed into one integer and counted
     with ``np.unique``, so the work per string is a few array passes."""
-    keep = np.abs(psum.coeffs) > 0
     x, z = psum.x_words, psum.z_words
-    if not keep.all():
-        x, z = x[keep], z[keep]
     base = psum.n_qubits + 1
     packed = _popcount(x & z)
     for words in (x, z):

@@ -1,17 +1,14 @@
 """Coordinate-list complex matrices used for operators, oracles, and verification.
 
-Entries are kept canonical: sorted by (row, col), duplicates summed, and
-magnitudes at or below ``ZERO_TOL`` (absolute) dropped. ``merge_rows`` is
-the one sort-and-merge kernel; ``PauliSum`` orders its strings with it too.
+Entries are kept canonical: sorted by (row, col), duplicates summed, and exact
+zeros dropped. ``merge_rows`` is the one sort-and-merge kernel and the one zero
+rule; ``PauliSum`` orders its strings with it too.
 """
 from __future__ import annotations
 
 from typing import Iterable
 
 import numpy as np
-
-# Absolute magnitude below which an entry counts as double-precision noise.
-ZERO_TOL = 1e-14
 
 # max |M - M^dagger| allowed for a matrix to certify as Hermitian
 HERMITICITY_TOL = 1e-12
@@ -34,9 +31,8 @@ class SparseOperator:
         if rows.size and (rows.min() < 0 or rows.max() >= dim
                           or cols.min() < 0 or cols.max() >= dim):
             raise ValueError("entry index out of range")
-        take, vals = merge_rows([rows * dim + cols], vals)
-        keep = np.abs(vals) > ZERO_TOL
-        self.rows, self.cols, self.vals = rows[take][keep], cols[take][keep], vals[keep]
+        take, self.vals = merge_rows([rows * dim + cols], vals)
+        self.rows, self.cols = rows[take], cols[take]
 
     # -- constructors ------------------------------------------------------
 
@@ -53,7 +49,7 @@ class SparseOperator:
         m = np.asarray(matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        r, c = np.nonzero(np.abs(m) > ZERO_TOL)
+        r, c = np.nonzero(m)
         return cls(m.shape[0], r, c, m[r, c])
 
     @classmethod
@@ -144,26 +140,27 @@ class SparseOperator:
 
 
 def merge_rows(keys: list[np.ndarray], vals: np.ndarray):
-    """Order rows by ``keys`` (aligned 1-D arrays, most significant first) and
-    add the values of equal rows. Returns ``(take, merged)``: ``take`` indexes
-    each distinct key's first row in ascending key order, ``merged`` its sum.
+    """Order rows by ``keys`` (aligned 1-D arrays, most significant first), add
+    the values of equal rows and keep each sum that is not 0 (``-0.0`` goes, a
+    subnormal stays). Returns ``(take, merged)``: ``take`` indexes each kept
+    key's first row in ascending key order, ``merged`` its sum.
     Each sum runs strictly left to right in input order (the sort is
     stable): one vector pass per position after the first, over the runs
     that long, so ``a + b + c`` is ``(a + b) + c`` bit for bit. Rows that
-    already ascend strictly skip the sort: ``take`` is ``slice(None)``. Rows
-    that ascend strictly in ``keys[1:]`` are unique and need one stable argsort
-    of ``keys[0]`` (a radix sort for keys of 16 bits or less)."""
+    already ascend strictly skip the sort: ``take`` is ``slice(None)`` if no
+    sum is 0. Rows that ascend strictly in ``keys[1:]`` are unique and need one
+    stable argsort of ``keys[0]`` (a radix sort for keys of 16 bits or less)."""
     if vals.size < 2:
-        return slice(None), vals
+        return _nonzero(slice(None), vals)
     rest = np.zeros(vals.size - 1, dtype=bool)  # row i + 1 above row i in keys[1:]
     for key in keys[:0:-1]:
         rest = (key[1:] > key[:-1]) | (key[1:] == key[:-1]) & rest
     first = keys[0]
     if ((first[1:] > first[:-1]) | (first[1:] == first[:-1]) & rest).all():
-        return slice(None), vals
+        return _nonzero(slice(None), vals)
     if rest.all():
         order = np.argsort(first, kind="stable")
-        return order, vals[order]
+        return _nonzero(order, vals[order])
     order = np.lexsort(keys[::-1])  # lexsort's primary key is its last
     new = np.zeros(vals.size - 1, dtype=bool)
     for key in keys:
@@ -180,7 +177,15 @@ def merge_rows(keys: list[np.ndarray], vals: np.ndarray):
         merged[longer] += vals[at]
         keep = more[at]
         longer, at = longer[keep], at[keep]
-    return order[starts], merged
+    return _nonzero(order[starts], merged)
+
+
+def _nonzero(take, vals):
+    """``take`` and ``vals`` without the rows whose value equals 0."""
+    keep = vals != 0
+    if keep.all():
+        return take, vals
+    return (np.flatnonzero(keep) if isinstance(take, slice) else take[keep]), vals[keep]
 
 
 def is_power_of_two(n: int) -> bool:

@@ -98,6 +98,38 @@ class TestCount:
             code, out = run_cli(["count", path, "--tol", tol, "--format", "json"], capsys)
             assert code == 0 and json.loads(out)["rows"][0]["n_pauli"] == expected
 
+    @pytest.mark.parametrize("doc", [
+        {"potential": [{"coeff": c, "exponents": [2]}]} for c in (1e-15, 1.0, 1e15)] + [
+        {"potential": [{"coeff": 1.0, "exponents": [2]}], "fock": {"mass": m}}
+        for m in (1e-20, 1e20)])
+    def test_fock_count_does_not_depend_on_scale(self, doc, spec_file, capsys):
+        # x**2 at Q=4 has 39 strings at any coefficient or mass: --tol, relative
+        # to the largest coefficient, is the only magnitude cut
+        path = spec_file({**FOCK_DOUBLE_WELL, "qubits_per_boson": 4, **doc})
+        code, out = run_cli(["count", path], capsys)
+        assert code == 0
+        assert out.strip().splitlines()[1] == "4,fock,39,38,,0:1;1:4;2:11;3:15;4:8,39,0"
+
+    @pytest.mark.parametrize("q", [1, 4, 8])
+    def test_fock_x_count_at_heavy_mass(self, q, spec_file, capsys):
+        # x alone counts Q 2**(Q-1) strings at mass 1e30, as in table1
+        path = spec_file({**FOCK_DOUBLE_WELL, "qubits_per_boson": q, "fock": {"mass": 1e30},
+                          "potential": [{"coeff": 1.0, "exponents": [1]}]})
+        code, out = run_cli(["count", path, "--format", "json"], capsys)
+        assert code == 0 and json.loads(out)["rows"][0]["n_pauli"] == q << (q - 1)
+
+    def test_fock_band_cap_exit_3(self, spec_file, capsys, monkeypatch):
+        # the cap is checked before any band is allocated: lowered here, so the
+        # refused case stays small (x**4 at Q=4: 5 bands of 16 x 11 = 880 entries)
+        from qboson import hamiltonian
+        monkeypatch.setattr(hamiltonian, "FOCK_BAND_ENTRY_CAP", 879)
+        doc = {**FOCK_DOUBLE_WELL, "qubits_per_boson": 4}
+        assert main(["count", spec_file(doc)]) == 3
+        err = capsys.readouterr().err
+        assert all(w in err for w in ("degree 4", "qubits_per_boson 4", "879")), err
+        monkeypatch.setattr(hamiltonian, "FOCK_BAND_ENTRY_CAP", 880)
+        assert main(["count", spec_file(doc)]) == 0
+
     def test_coordinate_pruned_columns(self, spec_file, capsys):
         path = spec_file({**ANHARMONIC, "qubits_per_boson": 14,
                           "potential": [{"coeff": 1.0, "exponents": [4]}]})
@@ -498,6 +530,27 @@ COERCED = {
                                  ["kinetic term", "underflows", "radius 1e+200"]),
     "kinetic-vanishes-blockenc": (X_AT_1E200, ["blockenc"],
                                   ["kinetic term", "underflows", "radius 1e+200"]),
+    # a per-boson degree whose Z-sum tables need 171!, past the float range
+    **{f"degree-170-{argv[0]}": (dict(ANHARMONIC, potential=[{"coeff": 1.0, "exponents": [170]}]),
+                                 argv, ["degree 170", "qubits_per_boson 3"])
+       for argv in (["count"], ["trotter", "--time", "0.1", "--steps", "2"], ["blockenc"])},
+    # a Fock product that leaves the normal float range: x**3 of x**4 rounds to
+    # 0.0 at mass 1e300, and 1e-320 x**4 is subnormal, too few bits for the
+    # butterfly's sums to keep every string
+    "fock-power-underflows": (dict(FOCK_DOUBLE_WELL, qubits_per_boson=4, fock={"mass": 1e300},
+                                   potential=[{"coeff": 1.0, "exponents": [4]}]),
+                              ["count"], ["power 3 of x (potential term 0)",
+                                          "fock: mass 1e+300, frequency 1.0", "underflows"]),
+    "fock-term-underflows": (dict(FOCK_DOUBLE_WELL, qubits_per_boson=4,
+                                  potential=[{"coeff": 1.0, "exponents": [2]},
+                                             {"coeff": 1e-320, "exponents": [4]}]),
+                             ["count"], ["potential term 1", "fock: mass 1.0, frequency 1.0",
+                                         "underflows"]),
+    "fock-two-boson-term-underflows": (
+        {"bosons": 2, "qubits_per_boson": 2, "basis": "fock",
+         "potential": [{"coeff": 1.0, "exponents": [2, 0]},
+                       {"coeff": 5e-308, "exponents": [2, 2]}]},  # normal until the 2nd kron
+        ["count"], ["potential term 1", "fock: mass", "underflows"]),
     # refused by the spec reader
     "top-level-array": ([ANHARMONIC], ["count"], ["spec.json", "top-level JSON object"]),
     "negative-exponent": (dict(ANHARMONIC, potential=[{"coeff": 1.0, "exponents": [-2]}]),

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qboson import decompose
-from qboson import (CapExceededError, SparseOperator, count_strings,
-                    decompose_tensorized, decompose_trace, fock_ladder, fock_x,
+from qboson import (CapExceededError, FockParams, SparseOperator, count_strings,
+                    decompose_tensorized, decompose_trace, fock_ladder, fock_p, fock_x,
                     reconstruct, shift_matrix, string_census)
 
 
@@ -104,10 +104,16 @@ class TestTensorized:
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_empty_operator(self, n):
-        for op in (SparseOperator.zeros(1 << n), SparseOperator(1 << n, [0], [1], [1e-15])):
+        # only exact zeros make an operator empty: 0.0 and -0.0 are not stored
+        for op in (SparseOperator.zeros(1 << n), SparseOperator(1 << n, [0, 1], [1, 0], [0.0, -0.0])):
             psum = decompose_tensorized(op)
             assert psum.n_qubits == n and len(psum) == 0
             assert reconstruct(psum).nnz == 0
+        # a lone 1e-15 is an operator like any other: the 2**n strings of x = 1
+        tiny = SparseOperator(1 << n, [0], [1], [1e-15])
+        psum = decompose_tensorized(tiny)
+        assert len(psum) == 1 << n and np.all(psum.x_words == 1)
+        assert reconstruct(psum).max_abs_diff(tiny) <= 1e-30
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_imaginary_is_i_times_real(self, n):
@@ -191,6 +197,14 @@ class TestLadderDecomposition:
     @pytest.mark.parametrize("q,expected", [(1, 1), (2, 4), (3, 12), (4, 32), (5, 80)])
     def test_position_counts_small(self, q, expected):
         assert count_strings(decompose_tensorized(fock_x(1 << q))) == expected
+
+    @pytest.mark.parametrize("mass", [1e-30, 1.0, 1e20, 1e28, 1e30])
+    def test_fock_counts_do_not_depend_on_mass(self, mass):
+        # Q 2**(Q-1) strings for x and for p at any mass: no entry is too small to count
+        params = FockParams(mass)
+        for q in range(1, 11):
+            assert len(decompose_tensorized(fock_x(1 << q, params))) == q << (q - 1)
+            assert len(decompose_tensorized(fock_p(1 << q, params))) == q << (q - 1)
 
     def test_creation_operator_roundtrip(self):
         a_dag = fock_ladder(8)

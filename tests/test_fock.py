@@ -1,7 +1,8 @@
 """Fock-basis operators built in one pass and by banded powers, against the
 product chain they replace: ladder -> dagger -> add -> scale for x and p, and
 ``@``/``kron``/``+`` for polynomials in x and for p**2. The chain is kept here
-as the oracle, and every entry must agree bit for bit."""
+as the oracle, and every entry must agree bit for bit, or the build must refuse
+where the chain forms a product that underflows."""
 import math
 
 import numpy as np
@@ -39,7 +40,8 @@ def chain_powers(op, degree):
 
 def chain_potential(spec):
     cfg = spec.config
-    powers = chain_powers(chain_x(cfg.cutoff, spec.fock_params), spec.potential.degree)
+    degree = max((max(m.exponents.values(), default=0) for m in spec.potential.terms), default=0)
+    powers = chain_powers(chain_x(cfg.cutoff, spec.fock_params), degree)
     total = SparseOperator.zeros(cfg.cutoff ** cfg.bosons)
     for mono in spec.potential.terms:
         op = SparseOperator.from_entries(1, [(0, 0, mono.coefficient)])
@@ -49,6 +51,17 @@ def chain_potential(spec):
     return total
 
 
+def chain_underflows(spec) -> bool:
+    """Whether the chain forms a float product that underflows (IEEE 754:
+    tiny and inexact)."""
+    try:
+        with np.errstate(under="raise", over="ignore", invalid="ignore"):
+            chain_potential(spec)
+    except FloatingPointError:
+        return True
+    return False
+
+
 def assert_same_entries(got, want):
     assert got.dim == want.dim
     assert np.array_equal(got.rows, want.rows) and np.array_equal(got.cols, want.cols)
@@ -56,11 +69,12 @@ def assert_same_entries(got, want):
 
 
 # a mass of 1e9 shrinks x to ~2e-5 sqrt(j), so entries of x**3 and x**4 fall
-# below ZERO_TOL part way through the products (some of them, at 1e6 and 1e7)
+# far below 1e-14 (some of them, at 1e6 and 1e7): small, not zero, so kept
 FOCK_PARAMS = st.builds(FockParams, st.one_of(st.sampled_from([1e6, 1e7, 1e9]),
                                               st.floats(0.05, 20.0)),
                         st.floats(0.05, 20.0))
-# constants, odd powers, a coefficient below ZERO_TOL and exact cancellations
+# constants, odd powers, a coefficient below 1e-14 and exact cancellations; the
+# floats include tiny ones, whose products underflow and are refused
 COEFFS = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([1.0, -1.0, 0.0, 3e-15]))
 
 
@@ -117,31 +131,42 @@ class TestBandedPowers:
     @given(spec=fock_specs())
     @settings(max_examples=80, deadline=None)
     def test_potential_and_hamiltonian_match_chain(self, spec):
+        if chain_underflows(spec):
+            with pytest.raises(ValueError, match="potential term .* underflows"):
+                fock_potential(spec)
+            return
         want = chain_potential(spec)
         assert_same_entries(fock_potential(spec), want)
         p1 = chain_p(spec.config.cutoff, spec.fock_params)
         assert_same_entries(fock_hamiltonian(spec),
                             want + 0.5 * _embed_per_boson(spec.config, p1 @ p1))
 
-    def test_heavy_mass_drops_small_entries(self):
-        # x**4 at m = 1e9: the chain drops entries mid-product, and so must the bands
+    def test_heavy_mass_keeps_every_entry(self):
+        # x**4 at m = 1e9: entries far below 1e-14 are entries like any other, in
+        # the chain and in the bands, so the support is the one at m = 1
         def spec(mass):
             return HamiltonianSpec(TruncationConfig(1, 8), PolynomialPotential.one_boson({4: 1.0}),
                                    basis=BasisChoice.FOCK, fock_params=FockParams(mass))
         got = fock_potential(spec(1e9))
         assert_same_entries(got, chain_potential(spec(1e9)))
-        assert 0 < got.nnz < fock_potential(spec(1.0)).nnz
+        assert np.abs(got.vals).min() < 1e-14
+        unit = fock_potential(spec(1.0))
+        assert np.array_equal(got.rows, unit.rows) and np.array_equal(got.cols, unit.cols)
 
     @pytest.mark.parametrize("q", [3, 6])
     @pytest.mark.parametrize("coeffs", [
-        # a coefficient at or below ZERO_TOL is dropped before it scales x**2
+        # a coefficient below 1e-14 scales x**2 like any other
         (3e-15, 1.0),
-        # 2e-14 x**2 is dropped where it is at or below ZERO_TOL before it meets x**2
-        (1.0, 2e-14),
-        # the residue of x**2 - (1 - 2**-50) x**2 is dropped before 0.1 x**2 joins it
+        # x**2 - x**2 cancels exactly and leaves nothing; 2e-14 x**2 then stands alone
+        (1.0, -1.0, 2e-14),
+        # the residue of x**2 - (1 - 2**-50) x**2 stays, and 0.1 x**2 joins it
         (1.0, -(1.0 - 2.0 ** -50), 0.1)])
     def test_small_terms_dropped_as_the_chain_drops_them(self, q, coeffs):
+        # only exact zeros drop, in the bands as in the chain: every one of these
+        # sums keeps the whole support of x**2
         terms = tuple(Monomial(c, {0: 2}) for c in coeffs)
         spec = HamiltonianSpec(TruncationConfig(1, q), PolynomialPotential(1, terms),
                                basis=BasisChoice.FOCK, fock_params=FockParams(4.0))
-        assert_same_entries(fock_potential(spec), chain_potential(spec))
+        got = fock_potential(spec)
+        assert_same_entries(got, chain_potential(spec))
+        assert got.nnz == chain_powers(chain_x(1 << q, spec.fock_params), 2)[2].nnz

@@ -97,9 +97,29 @@ class TestPauliSum:
         assert {(t.x_mask, t.z_mask) for t in kept} == {(0, 1), (3, 3)}
 
     def test_count_strings(self):
+        # a sum stores no zero, so the count is its length; 1e-300 is a coefficient
         psum = PauliSum.from_arrays(2, [0, 0, 3], [1, 2, 3], [1.0, 1e-300, 0.0])
-        assert len(psum) == 3 and count_strings(psum) == 2
+        assert len(psum) == 2 and count_strings(psum) == 2
+        assert psum.coefficient(0, 2) == 1e-300 and psum.coefficient(3, 3) == 0.0
         assert count_strings(PauliSum(3)) == 0
+
+    def test_no_zero_coefficient_stored(self):
+        zeros = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)]
+        built = PauliSum.from_arrays(2, [0, 1, 2, 3, 1], [1, 1, 2, 0, 2], [*zeros, 5e-324])
+        a = PauliSum.from_arrays(2, [1, 2, 3], [0, 0, 0], [1.0, -2.5, 1j])
+        cancelled = a + (-1.0) * a
+        halves = a + PauliSum.from_arrays(2, [1, 2], [0, 0], [-1.0, 2.0])
+        scaled = (0 * a, a * 0.0, 1e-300 * PauliSum.from_arrays(2, [1, 2], [0, 0], [1e-300, 1.0]))
+        text = pauli_sum_from_text("# pauli-sum n_qubits=2\nXX 0.0 0.0\nIZ -0.0 0.0\n"
+                                   "ZZ 1.0 0.0\nZI 1.0 0.0\nZI -1.0 0.0\n")
+        for psum, n in [(built, 1), (cancelled, 0), (halves, 2), (scaled[0], 0), (scaled[1], 0),
+                        (scaled[2], 1), (text, 1)]:
+            assert len(psum) == n and count_strings(psum) == n
+            assert np.all(psum.coeffs != 0)
+            assert psum.x_words.shape == psum.z_words.shape == (n, 1)
+        assert [(t.x_mask, t.z_mask, t.coefficient) for t in built] == [(1, 2, 5e-324)]
+        assert [(t.x_mask, t.z_mask) for t in halves] == [(2, 0), (3, 0)]
+        assert [(t.label(), t.coefficient) for t in text] == [("ZZ", 1.0)]
 
     def test_terms_canonical_order(self):
         psum = PauliSum.from_arrays(2, [3, 0, 1], [3, 0, 0], [1.0, 1.0, 1.0])
@@ -126,9 +146,10 @@ class TestColumns:
         for key, v in entries:
             merged[key] = merged.get(key, 0.0) + v
         psum = sum_from_masks(n, entries)
+        kept = [k for k, v in merged.items() if v != 0]  # a sum stores no zero
         keys = [(t.x_mask, t.z_mask) for t in psum.terms()]
-        assert keys == sorted(merged, key=lambda k: ((k[0] | k[1]).bit_count(), *k))
-        assert psum.x_words.shape == psum.z_words.shape == (len(merged), (n + 63) // 64)
+        assert keys == sorted(kept, key=lambda k: ((k[0] | k[1]).bit_count(), *k))
+        assert psum.x_words.shape == psum.z_words.shape == (len(kept), (n + 63) // 64)
         for (x, z), v in merged.items():  # duplicates may be added in another order
             assert psum.coefficient(x, z) == pytest.approx(v, rel=1e-14, abs=1e-14)
         assert psum.coefficient((1 << n) - 1, 0) == merged.get(((1 << n) - 1, 0), 0.0)
@@ -142,6 +163,7 @@ class TestColumns:
         for key, v in dict(b[1]).items():
             expected[key] = expected.get(key, 0.0) + v
         total = sums[0] + sums[1]
+        expected = {key: v for key, v in expected.items() if v != 0}  # cancellations drop
         assert {(t.x_mask, t.z_mask): t.coefficient for t in total} == expected
 
     def test_from_arrays_multiword(self):
@@ -205,11 +227,10 @@ class TestCensus:
 
 
 def assert_census_matches_terms(psum):
-    """string_census against a per-term tally of the letters of the nonzero terms."""
+    """string_census against a per-term tally of the letters of the terms, none zero."""
     by_length, y_counts, letters = {}, {}, {}
     for t in psum.terms():
-        if t.coefficient == 0:
-            continue
+        assert t.coefficient != 0
         by_length[t.weight] = by_length.get(t.weight, 0) + 1
         y_counts.setdefault(t.weight, Counter())[t.label().count("Y")] += 1
         tally = letters.setdefault(t.weight, Counter())

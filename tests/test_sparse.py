@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qboson import PauliSum, SparseOperator
-from qboson.sparse import ZERO_TOL, merge_rows
+from qboson.sparse import merge_rows
 
 # unit values make exact cancellations common; the floats cover general complex entries
 VALUES = st.one_of(st.sampled_from([1.0, -1.0, 1j, -1j]),
@@ -26,7 +26,7 @@ def sparse_operators(dim: int):
 def assert_canonical(op: SparseOperator) -> None:
     keys = op.rows * op.dim + op.cols
     assert np.all(np.diff(keys) > 0)
-    assert np.all(np.abs(op.vals) > 1e-14)
+    assert np.all(op.vals != 0)
 
 
 @given(dim=st.integers(1, 8), data=st.data())
@@ -69,8 +69,9 @@ def test_rows_without_entries_and_cancellation():
     assert (c @ d).nnz == 0
 
 
-# values at and around the prune threshold, beside VALUES
-NEAR_ZERO = st.sampled_from([ZERO_TOL, -ZERO_TOL * 1j, ZERO_TOL / 2, 2 * ZERO_TOL])
+# signed zeros, a subnormal and values around 1e-14, beside VALUES: of these
+# only the zeros drop
+NEAR_ZERO = st.sampled_from([0.0, -0.0, -0.0j, 5e-324, 1e-14, -1e-14j, 5e-15, 2e-14])
 
 
 @st.composite
@@ -136,23 +137,37 @@ def check_merge(n, shuffled):
         sums[r, c] = sums[r, c] + v if (r, c) in sums else v
     unique = len(sums) == len(shuffled)
 
-    kept = [k for k in sorted(sums) if abs(sums[k]) > ZERO_TOL]
+    kept = [k for k in sorted(sums) if sums[k] != 0]
     expected = column_bytes(*as_columns([(r, c, sums[r, c]) for r, c in kept]))
     with no_sort_if(unique):
         in_order = SparseOperator(1 << n, *as_columns(sorted(shuffled, key=lambda e: e[:2])))
     for op in (in_order, SparseOperator(1 << n, *as_columns(shuffled))):
         assert column_bytes(op.rows, op.cols, op.vals) == expected
 
-    # the same entries as strings (x_mask, z_mask) = (row, col); exact zeros stay
+    # the same entries as strings (x_mask, z_mask) = (row, col); exact zeros drop
     def canonical(e):
         return (e[0] | e[1]).bit_count(), e[0], e[1]
-    strings = as_columns([(x, z, sums[x, z]) for x, z in sorted(sums, key=canonical)])
+    strings = as_columns([(x, z, sums[x, z]) for x, z in sorted(kept, key=canonical)])
     expected = column_bytes(strings[0].astype(np.uint64)[:, None],
                             strings[1].astype(np.uint64)[:, None], strings[2])
     with no_sort_if(unique):
         in_order = PauliSum.from_arrays(n, *as_columns(sorted(shuffled, key=canonical)))
     for psum in (in_order, PauliSum.from_arrays(n, *as_columns(shuffled))):
         assert column_bytes(psum.x_words, psum.z_words, psum.coeffs) == expected
+
+
+def test_only_exact_zeros_drop():
+    # no magnitude is too small to keep: 1e-300 and the smallest subnormal stay
+    values = [1e-300, 5e-324, 0.0, -0.0, -5e-324j, complex(-0.0, -0.0)]
+    op = SparseOperator(4, [0, 1, 2, 3, 0, 1], [0, 1, 2, 3, 3, 2], values)
+    assert op.rows.tolist() == [0, 0, 1] and op.cols.tolist() == [0, 3, 1]
+    assert op.vals.tolist() == [1e-300, -5e-324j, 5e-324]
+    dense = np.diag([1e-300, 5e-324, 0.0, -0.0])
+    assert SparseOperator.from_dense(dense).vals.tolist() == [1e-300, 5e-324]
+    # a sum that cancels exactly leaves no entry; one that leaves a subnormal keeps it
+    tiny = np.ldexp(1.0, -1074)
+    assert (op + (-1.0) * op).nnz == 0
+    assert (SparseOperator(2, [0], [0], [1e-308 + tiny]) - SparseOperator(2, [0], [0], [1e-308])).nnz == 1
 
 
 def test_matmul_dimension_mismatch():
