@@ -8,6 +8,8 @@ sign-matrix product; ``decompose_tensorized`` runs it as a fast butterfly
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import CapExceededError
@@ -92,24 +94,44 @@ def decompose_tensorized(op: SparseOperator,
     Prunes as ``PauliSum.prune(rel_tol)``; batches pre-prune against the largest
     magnitude so far, which is never above the final one."""
     n = qubit_count(op.dim)
-    found, peak = [], 0.0
-    # dim is a power of two, so dividing first is exact; a real (x, V) or
-    # imaginary (p) matrix transforms its nonzero part, and powers of i multiply exactly
-    vals, phases = op.vals / op.dim, I_POWERS.conj()
+    # the 1 / 2**n rides on the phase of each kept sum, so no entry is rounded
+    # before it is summed (a subnormal entry would lose bits or vanish). Where a sum
+    # overflows (entries near the float maximum) the entries are divided first, as
+    # a sum of quotients cannot overflow. In the normal range both give every
+    # coefficient bit for bit, since scaling by a power of two is exact there
+    scale = 1.0 / op.dim
+    found, peak, finite = _kept_sums(op, op.vals, scale, rel_tol)
+    if not finite and np.isfinite(op.vals).all():
+        scale = 1.0
+        found, peak, _ = _kept_sums(op, op.vals / op.dim, scale, rel_tol)
+    if not found:
+        return PauliSum(n)
+    xs, zs, coeffs = (np.concatenate(parts) for parts in zip(*found))
+    keep = np.abs(coeffs) > rel_tol * peak * scale
+    return PauliSum.from_arrays(n, xs[keep], zs[keep], coeffs[keep])
+
+
+def _kept_sums(op: SparseOperator, vals: np.ndarray, scale: float,
+               rel_tol: float) -> tuple[list, float, bool]:
+    """The butterfly of ``vals`` at the entries of ``op``, pre-pruned per batch
+    against the largest magnitude so far: ``(x, z, scale * phase * sum)`` per
+    batch, that largest sum, and whether every sum is finite. A real (x, V) or
+    imaginary (p) matrix transforms its nonzero part; powers of i multiply
+    exactly."""
+    found, peak, finite, phases = [], 0.0, True, I_POWERS.conj() * scale
     if not vals.imag.any():
         vals = vals.real
     elif not vals.real.any():
         vals, phases = vals.imag, 1j * phases
-    for xs, work in _transformed_diagonals(op.dim, op.rows ^ op.cols, op.cols, vals):
-        mags = np.abs(work)
-        peak = max(peak, float(mags.max()))
-        g, z = np.nonzero(mags > rel_tol * peak)
-        found.append((xs[g], z, work[g, z] * phases[np.bitwise_count(xs[g] & z) % 4]))
-    if not found:
-        return PauliSum(n)
-    xs, zs, coeffs = (np.concatenate(parts) for parts in zip(*found))
-    keep = np.abs(coeffs) > rel_tol * peak
-    return PauliSum.from_arrays(n, xs[keep], zs[keep], coeffs[keep])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is redone
+        for xs, work in _transformed_diagonals(op.dim, op.rows ^ op.cols, op.cols, vals):
+            mags = np.abs(work)
+            top = float(mags.max())  # NaN where an overflow met another
+            finite = finite and math.isfinite(top)
+            peak = max(peak, top)
+            g, z = np.nonzero(mags > rel_tol * peak)
+            found.append((xs[g], z, work[g, z] * phases[np.bitwise_count(xs[g] & z) % 4]))
+    return found, peak, finite
 
 
 def reconstruct(psum: PauliSum) -> SparseOperator:

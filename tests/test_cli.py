@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +118,14 @@ class TestCount:
                           "potential": [{"coeff": 1.0, "exponents": [1]}]})
         code, out = run_cli(["count", path, "--format", "json"], capsys)
         assert code == 0 and json.loads(out)["rows"][0]["n_pauli"] == q << (q - 1)
+
+    def test_fock_subnormal_constant_counts_one_string(self, spec_file, capsys):
+        # 5e-324 times the identity is the identity string at 5e-324: the butterfly
+        # divides by 16 after summing, so no entry rounds away first
+        path = spec_file({**FOCK_DOUBLE_WELL, "qubits_per_boson": 4,
+                          "potential": [{"coeff": 5e-324, "exponents": [0]}]})
+        code, out = run_cli(["count", path], capsys)
+        assert code == 0 and out.strip().splitlines()[1] == "4,fock,1,0,,0:1,1,0"
 
     def test_fock_band_cap_exit_3(self, spec_file, capsys, monkeypatch):
         # the cap is checked before any band is allocated: lowered here, so the
@@ -295,6 +304,45 @@ class TestFit:
             main(["fit", str(tmp_path / "series.csv"), "--tol", "1e-9"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+# trotter --verify outputs recorded while the reference propagator was one eigh of
+# the whole matrix; the cases are even in each boson, even only overall, odd, and
+# one at an odd step count (no halving check)
+TROTTER_RECORDED = json.loads(
+    (Path(__file__).parent / "trotter_verify_reference.json").read_text())
+VERIFY_ERRORS = ("trotter_error", "trotter_error_half_steps", "halving_ratio")
+
+
+class TestTrotterOutputsRecorded:
+    @pytest.mark.parametrize("name", sorted(TROTTER_RECORDED))
+    def test_report_unchanged_errors_to_1e_12(self, name, tmp_path, monkeypatch, capsys):
+        case = TROTTER_RECORDED[name]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "spec.json").write_text(json.dumps(case["spec"]))
+        outs = {}
+        for fmt in ("json", "csv"):
+            code, outs[fmt] = run_cli(["trotter", "spec.json", *case["flags"], "--verify",
+                                       "--format", fmt], capsys)
+            assert code == 0
+        got, want = json.loads(outs["json"]), case["json"]
+        assert got.keys() == want.keys()
+        for key in want:
+            if key in VERIFY_ERRORS:
+                assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0), key
+            else:
+                assert got[key] == want[key], key
+        # CSV prints 12 significant digits: its verify cells agree to that print
+        lines = outs["csv"].splitlines()
+        assert len(lines) == len(case["csv"])
+        for line, expected in zip(lines, case["csv"]):
+            if not expected.startswith("verify,"):
+                assert line == expected
+                continue
+            (head, value), (expected_head, expected_value) = (
+                row.rsplit(",", 1) for row in (line, expected))
+            assert head == expected_head
+            assert float(value) == pytest.approx(float(expected_value), rel=1e-11, abs=0)
 
 
 class TestTrotter:

@@ -115,6 +115,36 @@ class TestTensorized:
         assert len(psum) == 1 << n and np.all(psum.x_words == 1)
         assert reconstruct(psum).max_abs_diff(tiny) <= 1e-30
 
+    def test_subnormal_entries_summed_before_scaling(self):
+        # 5e-324 * I has the one coefficient 5e-324; divided by 2**n first, every
+        # entry rounded to 0.0 and no string was left
+        for n in (1, 4):
+            dim = 1 << n
+            psum = decompose_tensorized(SparseOperator(dim, range(dim), range(dim), [5e-324] * dim))
+            assert len(psum) == 1 and psum.coeffs[0] == 5e-324
+            assert psum.x_words[0, 0] == psum.z_words[0, 0] == 0
+        # X / 2 + Y * i / 2 is exactly +-2.5e-324, which rounds to 0.0 (ties to even),
+        # as the oracle rounds it
+        for value in (5e-324, 1.5e-323, 1e-300):
+            op = SparseOperator(2, [0], [1], [value])
+            assert coeff_table(decompose_tensorized(op)) == coeff_table(decompose_trace(op))
+        assert len(decompose_tensorized(SparseOperator(2, [0], [1], [5e-324]))) == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_entries_near_the_float_maximum_do_not_overflow(self):
+        # the butterfly doubles magnitudes at each level: its sums overflow, so the
+        # transform is redone on the entries divided first
+        op = SparseOperator(4, [0, 1, 2], [1, 0, 2], [1.7e308, 1.7e308, -1.7e308])
+        psum = decompose_tensorized(op)
+        assert np.isfinite(psum.coeffs).all()
+        assert reconstruct(psum).max_abs_diff(op) == 0.0
+        # a dense sign pattern: sums that overflow meet, and inf - inf is NaN
+        signs = np.random.default_rng(4).choice([1.7e308, -1.7e308], size=(16, 16))
+        op = SparseOperator.from_dense(signs)
+        psum = decompose_tensorized(op, rel_tol=0.0)
+        assert np.isfinite(psum.coeffs).all()
+        assert reconstruct(psum).max_abs_diff(op) <= 1e-15 * 1.7e308
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_imaginary_is_i_times_real(self, n):
         # both run the butterfly on the same real numbers; powers of i multiply exactly

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qboson import (CapExceededError, Circuit, Gate, HamiltonianSpec, Monomial,
@@ -242,6 +242,100 @@ class TestExactPropagator:
         prop = exact_propagator(SparseOperator.identity(4), 1.0)
         assert isinstance(prop, Propagator)
         assert np.allclose(np.diag(prop.unitary), np.exp(-1j))
+
+
+def polynomial_spec(bosons, qubits, terms):
+    """A coordinate-qft spec of ``(coeff, {boson: power})`` terms at radius 2."""
+    return HamiltonianSpec(TruncationConfig(bosons, qubits, 2.0), PolynomialPotential(
+        bosons, tuple(Monomial(c, powers) for c, powers in terms)))
+
+
+def flip_invariant(h, ks):
+    """``h`` averaged over the flips of its low k index bits, k in ``ks``:
+    exactly invariant under each, since float addition commutes."""
+    index = np.arange(len(h))
+    for k in ks:
+        flip = index ^ ((1 << k) - 1)
+        h = (h + h[np.ix_(flip, flip)]) / 2
+    return h
+
+
+@pytest.fixture
+def eigh_shapes(monkeypatch):
+    """The shapes of the arrays np.linalg.eigh receives."""
+    shapes, original = [], np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return shapes
+
+
+class TestReflectionSectors:
+    """exact_propagator diagonalizes one exact reflection sector of H at a time."""
+
+    @pytest.mark.parametrize("spec, blocks", [
+        # even in each boson: x_0 -> -x_0 and x_1 -> -x_1 each commute with H
+        (polynomial_spec(2, 3, [(0.5, {0: 2}), (0.5, {1: 2}), (0.25, {0: 4}),
+                                (0.25, {1: 4}), (0.5, {0: 2, 1: 2})]), (4, 16, 16)),
+        # even only overall: x_0 x_1 keeps the joint reflection alone
+        (polynomial_spec(2, 3, [(1.0, {0: 2}), (1.0, {1: 2}), (0.5, {0: 1, 1: 1})]),
+         (2, 32, 32)),
+        # x**3 breaks the only reflection of one boson
+        (polynomial_spec(1, 4, [(1.0, {0: 3}), (1.0, {0: 4})]), (1, 16, 16)),
+    ], ids=["even-in-each-boson", "even-overall", "odd"])
+    def test_blocks_and_expm(self, spec, blocks, eigh_shapes):
+        h = assemble_hamiltonian_matrix(spec)
+        u = exact_propagator(h, 0.6).unitary
+        assert eigh_shapes == [blocks]
+        assert np.abs(u - scipy.linalg.expm(-0.6j * h)).max() < 1e-12
+
+    def test_one_block_is_the_whole_matrix_arithmetic(self):
+        h = assemble_hamiltonian_matrix(polynomial_spec(1, 4, [(1.0, {0: 3}), (1.0, {0: 4})]))
+        evals, evecs = np.linalg.eigh(h)
+        vh, phase = evecs.conj().T, evals * 0.6
+        whole = (evecs * np.cos(phase)) @ vh - 1j * ((evecs * np.sin(phase)) @ vh)
+        assert np.array_equal(exact_propagator(h, 0.6).unitary, whole)
+
+    def test_complex_centrosymmetric(self, eigh_shapes):
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        h = flip_invariant((m + m.conj().T) / 2, [4])
+        assert np.iscomplexobj(h) and np.array_equal(h, h[::-1, ::-1])
+        u = exact_propagator(h, 0.45).unitary
+        assert eigh_shapes == [(2, 8, 8)]
+        assert np.abs(u - scipy.linalg.expm(-0.45j * h)).max() < 1e-12
+
+    def test_symmetry_broken_by_one_ulp_does_not_split(self, eigh_shapes):
+        h = assemble_hamiltonian_matrix(
+            polynomial_spec(2, 2, [(1.0, {0: 2}), (1.0, {1: 2}), (1.0, {0: 4})]))
+        exact_propagator(h, 0.3)
+        assert eigh_shapes == [(4, 4, 4)]
+        # off rows 0 and 15, where each flip's partner entry is left as it was
+        h[5, 9] = h[9, 5] = np.nextafter(h[5, 9], np.inf)  # still Hermitian
+        assert h[5, 9] != 0
+        u = exact_propagator(h, 0.3).unitary
+        assert eigh_shapes[1:] == [(1, 16, 16)]
+        assert np.abs(u - scipy.linalg.expm(-0.3j * h)).max() < 1e-12
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(1, 5), data=st.data())
+    def test_invariant_under_random_prefix_flips(self, n, data, eigh_shapes):
+        ks = data.draw(st.sets(st.integers(1, n)), label="ks")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        is_complex = data.draw(st.booleans(), label="complex")
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((1 << n, 1 << n))
+        if is_complex:
+            m = m + 1j * rng.standard_normal(m.shape)
+        h = flip_invariant((m + m.conj().T) / 2, sorted(ks))
+        u = exact_propagator(h, 0.8).unitary
+        count, dim, _ = eigh_shapes[-1]  # the fixture's list spans every example
+        assert count >= 1 << len(ks) and count * dim == 1 << n
+        assert np.abs(u - scipy.linalg.expm(-0.8j * h)).max() < 1e-12
 
 
 class TestHamiltonianAssembly:
