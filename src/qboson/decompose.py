@@ -32,22 +32,33 @@ def decompose_trace(op: SparseOperator, rel_tol: float = RELATIVE_PRUNE_TOL) -> 
     n = qubit_count(op.dim)
     if n > TRACE_QUBIT_CAP:
         raise CapExceededError(f"decompose_trace capped at {TRACE_QUBIT_CAP} qubits, got {n}")
-    dim = op.dim
-    zs = np.arange(dim)
-    found = []
-    xors = op.rows ^ op.cols
-    for x in np.unique(xors):
-        sel = xors == x
-        cols = op.cols[sel]
-        vals = op.vals[sel]
-        # signs[z, k] = (-1)^popcount(z & col_k); phase = conj(i^{#Y}) per z
-        signs = 1.0 - 2.0 * (np.bitwise_count(zs[:, None] & cols[None, :]) & 1)
-        sums = signs @ vals
-        phases = (-1j) ** (np.bitwise_count(zs & int(x)) % 4)
-        found.append((np.full(dim, x), zs, phases * sums / dim))
+    # divided after the sums, unless a sum overflows: then, as in decompose_tensorized,
+    # the entries are divided first
+    found, finite = _trace_terms(op, op.vals, op.dim)
+    if not finite and np.isfinite(op.vals).all():
+        found, _ = _trace_terms(op, op.vals / op.dim, 1)
     if not found:
         return PauliSum(n)
     return PauliSum.from_arrays(n, *(np.concatenate(parts) for parts in zip(*found))).prune(rel_tol)
+
+
+def _trace_terms(op: SparseOperator, vals: np.ndarray, divisor: int) -> tuple[list, bool]:
+    """``(x, z, phase * sum / divisor)`` per x of the trace sweep over the
+    entries ``vals`` at op's positions, and whether every sum is finite."""
+    dim = op.dim
+    zs = np.arange(dim)
+    found, finite = [], True
+    xors = op.rows ^ op.cols
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is redone
+        for x in np.unique(xors):
+            sel = xors == x
+            # signs[z, k] = (-1)^popcount(z & col_k); phase = conj(i^{#Y}) per z
+            signs = 1.0 - 2.0 * (np.bitwise_count(zs[:, None] & op.cols[sel][None, :]) & 1)
+            sums = signs @ vals[sel]
+            finite = finite and bool(np.isfinite(sums).all())
+            phases = (-1j) ** (np.bitwise_count(zs & int(x)) % 4)
+            found.append((np.full(dim, x), zs, phases * sums / divisor))
+    return found, finite
 
 
 def _transformed_diagonals(dim: int, xs, index, vals):

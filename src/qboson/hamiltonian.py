@@ -27,7 +27,9 @@ from .pauli import PauliSum, mask_bits, single_qubit_words
 from .sparse import SparseOperator
 
 FOCK_TOTAL_QUBIT_CAP = 14  # dense/banded matrix products stop being desk-scale
-FOCK_BAND_ENTRY_CAP = 1 << 25  # floats the banded powers of x may hold (256 MiB)
+# floats the banded powers of x may hold (256 MiB); a multi-boson Fock potential's
+# Kronecker products may form a third as many entries (row, column and value each)
+FOCK_BAND_ENTRY_CAP = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -523,6 +525,15 @@ def fock_potential(spec: HamiltonianSpec) -> SparseOperator:
             _require_finite(total, i, spec)
         return _band_operator(total)
     powers = [_band_operator(band) for band in powers]
+    # the Kronecker products form prod_a nnz(x**m_a) entries per term: counted
+    # before any is formed
+    entries = sum(math.prod(powers[mono.exponents.get(a, 0)].nnz for a in range(cfg.bosons))
+                  for mono in spec.potential.terms)
+    if entries > FOCK_BAND_ENTRY_CAP // 3:
+        raise CapExceededError(f"the Fock potential's Kronecker products over {cfg.bosons} "
+                               f"bosons, to degree {degree} at qubits_per_boson "
+                               f"{cfg.qubits_per_boson}, form {entries} entries, more than "
+                               f"{FOCK_BAND_ENTRY_CAP // 3}")
     total = SparseOperator.zeros(cfg.cutoff ** cfg.bosons)
     for i, mono in enumerate(spec.potential.terms):
         with _underflow_refused(functools.partial(_term_error, i, spec)):

@@ -1,10 +1,10 @@
 """Exact statevector simulation and matrix-exponential propagator oracles.
 
-Amplitudes are dense and no per-gate 2**n matrix is formed: each run of
-permutation/phase gates is fused into one row gather, and each H is a
-butterfly on a reshaped view. Qubit j addresses the 2**j bit of the basis
-index. A Trotter step is simulated layer by layer (``layered_step``): each
-diagonal layer as one phase vector, each boson's QFT as one small unitary.
+Amplitudes are dense and every simulation runs one op list through one loop
+(``_apply``): a run of permutation/phase gates is one row gather and phase, an
+H a butterfly on a reshaped view, a Trotter step's diagonal layer its phase
+angles and each boson's QFT one small unitary. Qubit j addresses the 2**j bit
+of the basis index.
 """
 from __future__ import annotations
 
@@ -111,38 +111,57 @@ def _fused_run(gates, n: int) -> tuple[np.ndarray | None, np.ndarray]:
     return src, phase[src]
 
 
-def _run_circuit(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
-    """Apply ``circuit`` to the rows of ``amps`` (shape ``(2**n, batch)``).
-
-    Each maximal run of permutation/phase gates is one row gather and one
-    in-place row scaling (the gather is skipped when the run permutes
-    nothing); each H is an unnormalised butterfly on a reshaped view, and the
-    2**(-h/2) of the h butterflies since the last run rides on the next run's
-    phase vector (or one scaling at the end). ``amps`` must be C-contiguous
-    and may be overwritten.
-    """
-    dim = amps.shape[0]
-    spare = np.empty(amps.size // 2, dtype=amps.dtype)
-    pending = 0  # butterflies not yet normalised
-    for is_h, gates in groupby(circuit, key=lambda g: g.kind == "H"):
+def _compile(gates, n: int) -> list:
+    """Gates on n qubits as ops: each maximal run of other gates is one
+    ``("run", src, phase)``, each H one ``("h", q)``, an unnormalised butterfly
+    whose 2**(-1/2) rides on the next run's phase, or on a ``("scale", s)`` at
+    the end or after _MAX_PENDING_H butterflies."""
+    ops, pending = [], 0  # butterflies not yet normalised
+    for is_h, run in groupby(gates, key=lambda g: g.kind == "H"):
         if not is_h:
-            src, phase = _fused_run(gates, circuit.n_qubits)
+            src, phase = _fused_run(run, n)
             if pending:
                 phase *= _hadamard_norm(pending)
                 pending = 0
-            if src is not None:
-                amps = amps[src]
-            amps *= phase[:, None]
+            ops.append(("run", src, phase[:, None]))
             continue
-        for gate in gates:
-            q = gate.qubits[0]
-            butterfly_level(amps.reshape(dim >> (q + 1), 2, -1), spare)  # axis 1: qubit q
+        for gate in run:
+            ops.append(("h", gate.qubits[0]))
             pending += 1
             if pending == _MAX_PENDING_H:  # keep the growth far from overflow
-                amps *= _hadamard_norm(pending)
+                ops.append(("scale", _hadamard_norm(pending)))
                 pending = 0
     if pending:
-        amps *= _hadamard_norm(pending)
+        ops.append(("scale", _hadamard_norm(pending)))
+    return ops
+
+
+def _apply(ops, amps: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """Run ``ops`` in place on the rows of ``amps`` (C-contiguous, shape
+    ``(2**n, batch)``) and return it, with ``spare`` (same shape) as work space:
+    those of ``_compile``, ``("angles", theta)`` for psi -> exp(i theta) psi,
+    and ``("window", shift, u)`` for u on the qubits from ``shift`` on."""
+    dim, work = amps.shape[0], amps
+    for op in ops:
+        kind = op[0]
+        if kind == "h":  # axis 1 of the view: qubit q
+            butterfly_level(work.reshape(dim >> (op[1] + 1), 2, -1), spare.reshape(-1))
+        elif kind == "run":
+            if op[1] is not None:
+                np.take(work, op[1], axis=0, out=spare)
+                work, spare = spare, work
+            work *= op[2]
+        elif kind == "angles":
+            work *= np.exp(1j * op[1])[:, None]
+        elif kind == "window":
+            _, shift, u = op  # axis 1 of the view: the window's qubits
+            shape = (dim // (len(u) << shift), len(u), -1)
+            np.matmul(u, work.reshape(shape), out=spare.reshape(shape))
+            work, spare = spare, work
+        else:  # "scale"
+            work *= op[1]
+    if work is not amps:
+        amps[...] = work
     return amps
 
 
@@ -158,7 +177,8 @@ def apply_circuit(circuit: Circuit, state: StateVector) -> StateVector:
     if circuit.n_qubits > APPLY_QUBIT_CAP:
         raise CapExceededError(f"apply_circuit capped at {APPLY_QUBIT_CAP} qubits")
     amps = state.amplitudes.astype(np.complex128, copy=True).reshape(-1, 1)
-    return StateVector(circuit.n_qubits, _run_circuit(circuit, amps).reshape(-1))
+    _apply(_compile(circuit, circuit.n_qubits), amps, np.empty_like(amps))
+    return StateVector(circuit.n_qubits, amps.reshape(-1))
 
 
 def circuit_matrix(circuit: Circuit) -> np.ndarray:
@@ -166,7 +186,8 @@ def circuit_matrix(circuit: Circuit) -> np.ndarray:
     n = circuit.n_qubits
     if n > MATRIX_QUBIT_CAP:
         raise CapExceededError(f"circuit_matrix capped at {MATRIX_QUBIT_CAP} qubits")
-    return _run_circuit(circuit, np.eye(1 << n, dtype=np.complex128))
+    unitary = np.eye(1 << n, dtype=np.complex128)
+    return _apply(_compile(circuit, n), unitary, np.empty_like(unitary))
 
 
 @dataclass
@@ -192,8 +213,7 @@ def exact_propagator(hamiltonian, time: float) -> Propagator:
     h = hamiltonian.to_dense() if sparse else np.asarray(hamiltonian)
     # a real symmetric H stays real: eigh then runs several times faster
     h = h.astype(np.float64 if np.isrealobj(h) else np.complex128, copy=False)
-    scale = max(1.0, float(np.abs(h).max(initial=0.0)))
-    if np.abs(h - h.conj().T).max(initial=0.0) > 1e-12 * scale:
+    if not _hermitian(h):
         raise ValueError("exact_propagator requires a Hermitian matrix")
     splits = _reflections(h)
     blocks = h[None]
@@ -211,6 +231,21 @@ def exact_propagator(hamiltonian, time: float) -> Propagator:
     for k in reversed(splits):
         u = _join(u, k)
     return Propagator(time, u[0])
+
+
+def _hermitian(h: np.ndarray) -> bool:
+    """max |H - H^dagger| <= 1e-12 max(1, max |H|), in one buffer that holds
+    |H| first. Past 512 rows H^dagger is read in 64 x 64 tiles: a column read
+    whole touches one memory page per entry."""
+    gap = np.abs(h, out=np.empty_like(h))
+    scale = max(1.0, float(gap.real.max(initial=0.0)))
+    dim = len(h)
+    tile = dim if 0 < dim <= 512 else 64
+    for i in range(0, dim, tile):
+        for j in range(0, dim, tile):
+            np.conjugate(h[j:j + tile, i:i + tile].T, out=gap[i:i + tile, j:j + tile])
+    np.subtract(h, gap, out=gap)
+    return not float(np.abs(gap, out=gap).real.max(initial=0.0)) > 1e-12 * scale
 
 
 def _reflections(h: np.ndarray) -> list[int]:
@@ -302,74 +337,42 @@ _PASS_COST = 16
 
 
 class LayeredStep:
-    """One Trotter step as the action of each of its layers, in step order.
+    """One Trotter step as the ops of its layers in step order (``_apply``);
+    ``peak_angle`` is the largest |angle| of a diagonal layer's gates."""
 
-    A diagonal layer (potential, kinetic) is its phase angles ``theta``: it
-    maps psi to exp(i theta) psi. A QFT layer is a tuple of ``(shift, u)``
-    windows, the unitary u of one boson's gates acting on the qubits from
-    ``shift`` on, or a ``Circuit`` whose gates run on the full register.
-    ``peak_angle`` is the largest |angle| of a diagonal layer's gates.
-    """
+    __slots__ = ("n_qubits", "ops", "peak_angle")
 
-    __slots__ = ("n_qubits", "layers", "peak_angle")
-
-    def __init__(self, n_qubits: int, layers: tuple, peak_angle: float):
-        self.n_qubits, self.layers, self.peak_angle = n_qubits, layers, peak_angle
+    def __init__(self, n_qubits: int, ops: tuple, peak_angle: float):
+        self.n_qubits, self.ops, self.peak_angle = n_qubits, ops, peak_angle
 
     def doubled(self) -> "LayeredStep":
         """The same step at twice the time step: each rotation angle is c * dt,
         and doubling is exact in binary, so every diagonal phase doubles."""
         with np.errstate(over="ignore"):  # refused just below
-            layers = tuple(2.0 * layer if isinstance(layer, np.ndarray) else layer
-                           for layer in self.layers)
+            ops = tuple(("angles", 2.0 * op[1]) if op[0] == "angles" else op
+                        for op in self.ops)
         if not (math.isfinite(2.0 * self.peak_angle) and all(
-                np.isfinite(layer).all() for layer in layers if isinstance(layer, np.ndarray))):
+                np.isfinite(op[1]).all() for op in ops if op[0] == "angles")):
             raise OverflowError(f"the doubled rotation angles (2 * {self.peak_angle!r} "
                                 f"at most per gate) are not finite")
-        return LayeredStep(self.n_qubits, layers, 2.0 * self.peak_angle)
-
-    def apply(self, amps: np.ndarray, spare: np.ndarray) -> None:
-        """The step, in place, on the rows of ``amps`` (shape ``(2**n, batch)``,
-        C-contiguous); ``spare``, of the same shape, holds the window products."""
-        dim, work = amps.shape[0], amps
-        for layer in self.layers:
-            if isinstance(layer, np.ndarray):
-                work *= np.exp(1j * layer)[:, None]
-            elif isinstance(layer, Circuit):
-                work[...] = _run_circuit(layer, work)
-            else:  # axis 1 of each view holds one window's qubits
-                for shift, u in layer:
-                    shape = (dim // (len(u) << shift), len(u), -1)
-                    np.matmul(u, work.reshape(shape), out=spare.reshape(shape))
-                    work, spare = spare, work
-        if work is not amps:
-            amps[...] = work
+        return LayeredStep(self.n_qubits, ops, 2.0 * self.peak_angle)
 
     def power(self, steps: int) -> np.ndarray:
-        """The step's unitary raised to ``steps``: the layers applied ``steps``
+        """The step's unitary raised to ``steps``: the ops applied ``steps``
         times, or, where that costs more, once and then raised by repeated
         squaring."""
         dim = 1 << self.n_qubits
         unitary = np.eye(dim, dtype=np.complex128)
         spare = np.empty_like(unitary)
-        per_entry = sum(sum(len(u) for _, u in layer) if isinstance(layer, tuple)
-                        else _PASS_COST * _passes(layer) for layer in self.layers)
+        # multiply-adds per entry: a window's size, or one array pass
+        per_entry = sum(len(op[2]) if op[0] == "window" else _PASS_COST for op in self.ops)
         steps = int(steps)
         squarings = steps.bit_length() + steps.bit_count() - 2  # matmuls of matrix_power
         if (steps - 1) * per_entry <= squarings * dim:
             for _ in range(steps):
-                self.apply(unitary, spare)
+                _apply(self.ops, unitary, spare)
             return unitary
-        self.apply(unitary, spare)
-        return np.linalg.matrix_power(unitary, steps)
-
-
-def _passes(layer) -> int:
-    """Array passes of one layer: one per H and per run of other gates."""
-    if not isinstance(layer, Circuit):
-        return 1  # a diagonal layer is one row scaling
-    return sum(len(list(gates)) if is_h else 1
-               for is_h, gates in groupby(layer, key=lambda g: g.kind == "H"))
+        return np.linalg.matrix_power(_apply(self.ops, unitary, spare), steps)
 
 
 def layered_step(circuit: Circuit, report: GateCountReport,
@@ -377,16 +380,16 @@ def layered_step(circuit: Circuit, report: GateCountReport,
     """The first step of a Trotter circuit, cut into its layers by the report's
     per-layer gate counts.
 
-    Each diagonal layer is one fused pass over the basis index. Each QFT layer
-    is simulated once per boson on that boson's own qubits, with its
-    zero-qubit PHASE gates folded into the first window; past
-    WINDOW_QUBIT_CAP qubits per boson, or when a gate spans two bosons, its
-    gates run on the full register instead.
+    Each diagonal layer is one ``("angles", theta)``, fused over the basis
+    index. Each QFT layer is one ``("window", shift, u)`` per boson, u its
+    gates on that boson's own qubits, with its zero-qubit PHASE gates folded
+    into the first window; past WINDOW_QUBIT_CAP qubits per boson, or when a
+    gate spans two bosons, its gates are compiled for the full register.
     """
     n, q = circuit.n_qubits, qubits_per_boson
     if n > MATRIX_QUBIT_CAP:
         raise CapExceededError(f"layered_step capped at {MATRIX_QUBIT_CAP} qubits")
-    layers, peak, offset = [], 0.0, 0
+    ops, peak, offset = [], 0.0, 0
     for name in LAYER_NAMES:
         size = report.layer_total(name) // report.steps
         gates = circuit.gates[offset:offset + size]
@@ -398,17 +401,17 @@ def layered_step(circuit: Circuit, report: GateCountReport,
                 raise ValueError(f"the {name} layer permutes basis states")
             if not np.isfinite(theta).all():
                 raise OverflowError(f"the {name} layer's phase angles are not finite")
-            layers.append(theta)
+            ops.append(("angles", theta))
             peak = max(peak, max((abs(g.angle) for g in gates if g.angle is not None),
                                  default=0.0))
         else:
-            layers.append(_windows(gates, n, q) or Circuit(n, gates))
-    return LayeredStep(n, tuple(layers), peak)
+            ops += _windows(gates, n, q) or _compile(gates, n)
+    return LayeredStep(n, tuple(ops), peak)
 
 
-def _windows(gates, n: int, q: int) -> tuple | None:
-    """A QFT layer as one ``(shift, unitary)`` per boson, or None where it
-    does not split into windows of q <= WINDOW_QUBIT_CAP qubits."""
+def _windows(gates, n: int, q: int) -> list | None:
+    """A QFT layer as one ``("window", shift, unitary)`` op per boson, or None
+    where it does not split into windows of q <= WINDOW_QUBIT_CAP qubits."""
     if q > WINDOW_QUBIT_CAP:
         return None
     per_boson: dict[int, list] = {}
@@ -423,11 +426,11 @@ def _windows(gates, n: int, q: int) -> tuple | None:
         per_boson.setdefault(a, []).append(gate.shifted(-a * q))
     if not per_boson:
         return None
-    windows = [(a * q, circuit_matrix(Circuit(q, boson_gates)))
+    windows = [("window", a * q, circuit_matrix(Circuit(q, boson_gates)))
                for a, boson_gates in sorted(per_boson.items())]
-    first = windows[0][1]
+    first = windows[0][2]
     first *= np.exp(1j * const)
-    return tuple(windows)
+    return windows
 
 
 def trotter_error(spec: HamiltonianSpec, total_time: float, steps: int,
@@ -455,4 +458,5 @@ def trotter_error(spec: HamiltonianSpec, total_time: float, steps: int,
                             spec.config.qubits_per_boson)
     elif step.n_qubits != n:
         raise ValueError(f"step on {step.n_qubits} qubits does not match {n} qubits")
-    return float(np.abs(step.power(steps) - exact.unitary).max())
+    u = step.power(steps)
+    return float(np.abs(np.subtract(u, exact.unitary, out=u)).max())

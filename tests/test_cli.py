@@ -139,6 +139,19 @@ class TestCount:
         monkeypatch.setattr(hamiltonian, "FOCK_BAND_ENTRY_CAP", 880)
         assert main(["count", spec_file(doc)]) == 0
 
+    def test_fock_two_boson_kron_cap_exit_3(self, spec_file, capsys, monkeypatch):
+        # x0**60 x1**60 at Q=7 would form 35,378,704 entries; refused before the
+        # first Kronecker product
+        from qboson import SparseOperator
+        monkeypatch.setattr(SparseOperator, "kron",
+                            lambda *a: pytest.fail("a product formed before the cap"))
+        doc = {"bosons": 2, "qubits_per_boson": 7, "basis": "fock",
+               "potential": [{"coeff": 1.0, "exponents": [60, 60]}]}
+        assert main(["count", spec_file(doc)]) == 3
+        err = capsys.readouterr().err
+        assert all(w in err for w in ("2 bosons", "degree 60", "qubits_per_boson 7",
+                                      "35378704 entries")), err
+
     def test_coordinate_pruned_columns(self, spec_file, capsys):
         path = spec_file({**ANHARMONIC, "qubits_per_boson": 14,
                           "potential": [{"coeff": 1.0, "exponents": [4]}]})
@@ -308,7 +321,9 @@ class TestFit:
 
 # trotter --verify outputs recorded while the reference propagator was one eigh of
 # the whole matrix; the cases are even in each boson, even only overall, odd, and
-# one at an odd step count (no halving check)
+# one at an odd step count (no halving check). The full-register cases (Q = 7 and 9,
+# past WINDOW_QUBIT_CAP) were recorded while QFT layers past the cap ran through a
+# separate gate interpreter; one of them raises the step by repeated squaring
 TROTTER_RECORDED = json.loads(
     (Path(__file__).parent / "trotter_verify_reference.json").read_text())
 VERIFY_ERRORS = ("trotter_error", "trotter_error_half_steps", "halving_ratio")

@@ -46,6 +46,15 @@ class TestTraceOracle:
         with pytest.raises(ValueError, match="power of two"):
             decompose_trace(SparseOperator.identity(3))
 
+    @pytest.mark.filterwarnings("error")
+    def test_entries_near_the_float_maximum_do_not_overflow(self):
+        # 1.7e308 + 1.7e308 overflows: the sums are redone on the entries divided
+        # first, as in decompose_tensorized
+        op = SparseOperator(4, [0, 1], [1, 0], [1.7e308] * 2)
+        oracle = coeff_table(decompose_trace(op))
+        assert oracle == coeff_table(decompose_tensorized(op))
+        assert oracle == {(1, 0): 0.85e308, (1, 2): 0.85e308}
+
 
 class TestTensorized:
     def test_fock_x_counts(self):

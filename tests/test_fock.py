@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qboson import (BasisChoice, FockParams, HamiltonianSpec, Monomial, PolynomialPotential,
+from qboson import (BasisChoice, CapExceededError, FockParams, HamiltonianSpec, Monomial, PolynomialPotential,
                     SparseOperator, TruncationConfig, fock_hamiltonian, fock_ladder, fock_p,
                     fock_potential, fock_x)
 from qboson.hamiltonian import _band_operator, _banded_powers, _embed_per_boson
@@ -140,6 +140,20 @@ class TestBandedPowers:
         p1 = chain_p(spec.config.cutoff, spec.fock_params)
         assert_same_entries(fock_hamiltonian(spec),
                             want + 0.5 * _embed_per_boson(spec.config, p1 @ p1))
+
+    def test_kron_entries_capped_before_the_products(self, monkeypatch):
+        # x0**2 x1**2 + x1 at cutoff 4: 8 * 8 + 4 * 6 = 88 entries, a third of the cap
+        from qboson import hamiltonian
+        spec = HamiltonianSpec(TruncationConfig(2, 2), PolynomialPotential(2, (
+            Monomial(1.0, {0: 2, 1: 2}), Monomial(1.0, {1: 1}))), basis=BasisChoice.FOCK)
+        monkeypatch.setattr(hamiltonian, "FOCK_BAND_ENTRY_CAP", 3 * 88)
+        assert_same_entries(fock_potential(spec), chain_potential(spec))
+        monkeypatch.setattr(hamiltonian, "FOCK_BAND_ENTRY_CAP", 3 * 88 - 1)
+        monkeypatch.setattr(SparseOperator, "kron",
+                            lambda *a: pytest.fail("a product formed before the cap"))
+        with pytest.raises(CapExceededError, match="2 bosons, to degree 2 at qubits_per_boson "
+                                                   "2, form 88 entries, more than 87"):
+            fock_potential(spec)
 
     def test_heavy_mass_keeps_every_entry(self):
         # x**4 at m = 1e9: entries far below 1e-14 are entries like any other, in

@@ -17,7 +17,7 @@ from qboson import (CapExceededError, Circuit, Gate, HamiltonianSpec, Monomial,
                     trotter_evolution, trotter_step)
 from qboson.circuits import LAYER_NAMES, GateCountReport
 from qboson.operators import momentum_values
-from qboson.simulate import WINDOW_QUBIT_CAP, _run_circuit, layered_step
+from qboson.simulate import WINDOW_QUBIT_CAP, _apply, _compile, layered_step
 
 
 def anharmonic_spec(qubits=3, radius=2.0, coeffs=None):
@@ -223,6 +223,19 @@ class TestExactPropagator:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             exact_propagator(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+
+    @pytest.mark.parametrize("unit", [1.0, 1j])
+    @pytest.mark.parametrize("dim", [3, 600])  # 600: H^dagger read in tiles, the last ragged
+    def test_hermitian_tolerance_is_relative_to_the_largest_entry(self, dim, unit):
+        # |H - H^dagger| may reach 1e-12 max(1, max |H|) = 2e-12 here, and no more
+        h = np.diag(np.linspace(2.0, -1.0, dim)).astype(type(unit))
+        h[0, -1] = 1.5e-12 * unit
+        assert np.isfinite(exact_propagator(h, 1.0).unitary).all()
+        h[0, -1] = 2.5e-12 * unit
+        with pytest.raises(ValueError, match="Hermitian"):
+            exact_propagator(h, 1.0)
+        h[0, -1], h[-1, 0] = unit, np.conj(unit)
+        assert np.isfinite(exact_propagator(h, 1.0).unitary).all()
 
     def test_cap_before_dense(self, monkeypatch):
         # 8192 x 8192 complex would be 1 GiB: the cap must fire before to_dense
@@ -476,9 +489,13 @@ def first_columns(layered, circuit, count=48):
     """The layered step and the gate-by-gate kernel of circuit_matrix on the
     first ``count`` basis states (all of them on small registers)."""
     probes = np.eye(1 << circuit.n_qubits, dtype=np.complex128)[:, :count].copy()
-    expected = _run_circuit(circuit, probes.copy())
-    layered.apply(probes, np.empty_like(probes))
-    return probes, expected
+    spare = np.empty_like(probes)
+    expected = _apply(_compile(circuit, circuit.n_qubits), probes.copy(), spare)
+    return _apply(layered.ops, probes, spare), expected
+
+
+def op_kinds(layered):
+    return [op[0] for op in layered.ops]
 
 
 class TestLayeredStep:
@@ -490,7 +507,11 @@ class TestLayeredStep:
         step, report = trotter_step(coupled_spec(bosons, qubits), 0.1)
         layered = layered_step(step, report, qubits)
         windowed = qubits <= WINDOW_QUBIT_CAP
-        assert [isinstance(layer, tuple) for layer in layered.layers[1::2]] == [windowed] * 2
+        kinds = op_kinds(layered)
+        if windowed:  # one window per boson in each QFT layer
+            assert kinds == (["angles"] + ["window"] * bosons) * 2
+        else:
+            assert kinds.count("angles") == 2 and "window" not in kinds and "h" in kinds
         if step.n_qubits <= 8:
             assert np.abs(layered.power(1) - circuit_matrix(step)).max() <= 1e-12
         got, expected = first_columns(layered, step)
@@ -510,8 +531,10 @@ class TestLayeredStep:
         # so the doubled phases are the phases of the step at 2 dt, bit for bit
         ours = layered_step(step, report, qubits).doubled()
         theirs = layered_step(twice, report, qubits)
-        for mine, other in zip(ours.layers[::2], theirs.layers[::2]):
-            assert np.array_equal(mine, other)
+        # and the QFT ops, which do not depend on dt, are the same
+        assert op_kinds(ours) == op_kinds(theirs)
+        for mine, other in zip(ours.ops, theirs.ops):
+            assert all(np.array_equal(a, b) for a, b in zip(mine[1:], other[1:]))
 
     def test_gate_across_bosons_runs_on_the_full_register(self):
         # a SWAP between the two bosons' registers inside the QFT layer and
@@ -526,7 +549,8 @@ class TestLayeredStep:
         counts["qft"] = counts["qft"] + Counter(SWAP=1)
         counts["inverse_qft"] = counts["inverse_qft"] + Counter(SWAP=1)
         layered = layered_step(crossed, GateCountReport(counts), 3)
-        assert [type(layer) for layer in layered.layers[1::2]] == [Circuit, Circuit]
+        kinds = op_kinds(layered)
+        assert kinds.count("angles") == 2 and "window" not in kinds and "h" in kinds
         assert np.abs(layered.power(1) - circuit_matrix(crossed)).max() <= 1e-12
 
     @pytest.mark.parametrize("steps,squared", [(1, False), (2, False), (5, False), (40, True)])
