@@ -249,10 +249,10 @@ def block_encode(spec: HamiltonianSpec) -> BlockEncoding:
     return BlockEncoding(plan, prepare_G(plan), fourier_kernel_multi(spec.config))
 
 
-def verify_block_encoding(encoding: BlockEncoding, hamiltonian) -> float:
-    """max entrywise |(<G| x I) U (|G> x I) - H / lambda|, from the branches."""
+def verify_block_encoding(encoding: BlockEncoding, hamiltonian: np.ndarray) -> float:
+    """max entrywise |(<G| x I) U (|G> x I) - H / lambda| for dense H, from the branches."""
     _require_verifiable(encoding.plan)
-    h = hamiltonian.to_dense() if isinstance(hamiltonian, SparseOperator) else np.asarray(hamiltonian)
+    h = np.asarray(hamiltonian)
     dim_sys = 1 << encoding.n_system_qubits
     if h.shape != (dim_sys, dim_sys):
         raise ValueError(f"Hamiltonian shape {h.shape} does not match system dim {dim_sys}")

@@ -17,8 +17,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .hamiltonian import (HamiltonianSpec, expand_potential_zsum, kinetic_zsum,
-                          raw_string_count, require_kinetic_support)
+from .errors import CapExceededError
+from .hamiltonian import (EXPANSION_STRING_CAP, HamiltonianSpec, expand_potential_zsum,
+                          kinetic_zsum, raw_string_count, require_kinetic_support)
 from .pauli import PauliSum, PauliTerm, mask_bits
 
 GATE_ARITY = {
@@ -341,10 +342,15 @@ def trotter_step(spec: HamiltonianSpec, dt: float) -> tuple[Circuit, GateCountRe
 
 def trotter_evolution(spec: HamiltonianSpec, total_time: float,
                       steps: int) -> tuple[Circuit, GateCountReport]:
-    """``steps`` repetitions of trotter_step(spec, total_time / steps)."""
+    """``steps`` repetitions of trotter_step(spec, total_time / steps); the list
+    of ``steps`` times the step's gates is capped before it is formed."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     step, report = trotter_step(spec, total_time / steps)
+    total = len(step) * steps
+    if total > EXPANSION_STRING_CAP:
+        raise CapExceededError(f"{steps} Trotter steps of {len(step)} gates each form "
+                               f"{total} gates, capped at {EXPANSION_STRING_CAP}")
     circ = Circuit(step.n_qubits)
     circ.gates = step.gates * steps
     return circ, report.scaled(steps)

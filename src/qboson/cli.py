@@ -21,8 +21,9 @@ from .blockenc import (KINETIC, POTENTIAL, block_encode, plan_from_spec,
 from .circuits import trotter_evolution, write_circuit
 from .decompose import decompose_tensorized
 from .errors import CapExceededError, SpecFileError, VerificationError
-from .hamiltonian import (BasisChoice, HamiltonianSpec, expand_potential_zsum,
-                          fock_potential, load_hamiltonian_spec, raw_string_count)
+from .hamiltonian import (EXPANSION_STRING_CAP, BasisChoice, HamiltonianSpec,
+                          expand_potential_zsum, fock_potential, load_hamiltonian_spec,
+                          raw_string_count)
 from .operators import FockParams, fock_p, fock_x
 from .pauli import RELATIVE_PRUNE_TOL, count_strings, string_census
 from .scaling import fit_scaling, series_from_csv
@@ -69,10 +70,17 @@ def _respec_q(spec: HamiltonianSpec, q: int) -> HamiltonianSpec:
 
 def cmd_table1(args):
     """Fock-basis x/p string counts against the Q * 2**(Q-1) formula."""
-    params = FockParams()
+    params, q_max = FockParams(), args.q_max
+    # x and p have Q XOR diagonals of 2**Q entries each, so the decompositions may keep
+    # Q 2**Q sums: refused before the first row (the shift is clamped, so that a huge
+    # --q-max forms no huge integer)
+    if q_max << min(q_max, 64) > EXPANSION_STRING_CAP:
+        raise CapExceededError(f"table1 --q-max {q_max}: the decompositions of x and p may "
+                               f"keep {q_max} * 2**{q_max} sums, capped at "
+                               f"{EXPANSION_STRING_CAP}")
     header = ["Q", "Lambda", "n_pauli_x", "n_pauli_p", "formula", "match"]
     rows = []
-    for q in range(1, args.q_max + 1):
+    for q in range(1, q_max + 1):
         cutoff = 1 << q
         nx = count_strings(decompose_tensorized(fock_x(cutoff, params), args.tol))
         np_ = count_strings(decompose_tensorized(fock_p(cutoff, params), args.tol))

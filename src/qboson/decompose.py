@@ -149,7 +149,7 @@ def reconstruct(psum: PauliSum) -> SparseOperator:
     """Sum of coefficient * string matrix: the decomposition butterfly backwards."""
     dim = 1 << psum.n_qubits
     if not len(psum):
-        return SparseOperator.zeros(dim)
+        return SparseOperator(dim)
     xs, zs = (w[:, 0].astype(np.int64) for w in (psum.x_words, psum.z_words))
     coeffs = psum.coeffs * I_POWERS[np.bitwise_count(xs & zs) % 4]
     found = []

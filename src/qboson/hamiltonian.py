@@ -403,7 +403,7 @@ def require_kinetic_support(spec: HamiltonianSpec, kinetic: PauliSum) -> None:
 def _embed_per_boson(config: TruncationConfig, local: SparseOperator) -> SparseOperator:
     """sum_a I x ... x local_a x ... x I over the full register."""
     dim_local = config.cutoff
-    total = SparseOperator.zeros(dim_local ** config.bosons)
+    total = SparseOperator(dim_local ** config.bosons)
     for a in range(config.bosons):
         op = SparseOperator.identity(dim_local ** (config.bosons - 1 - a))
         op = op.kron(local)
@@ -534,10 +534,10 @@ def fock_potential(spec: HamiltonianSpec) -> SparseOperator:
                                f"bosons, to degree {degree} at qubits_per_boson "
                                f"{cfg.qubits_per_boson}, form {entries} entries, more than "
                                f"{FOCK_BAND_ENTRY_CAP // 3}")
-    total = SparseOperator.zeros(cfg.cutoff ** cfg.bosons)
+    total = SparseOperator(cfg.cutoff ** cfg.bosons)
     for i, mono in enumerate(spec.potential.terms):
         with _underflow_refused(functools.partial(_term_error, i, spec)):
-            op = SparseOperator.from_entries(1, [(0, 0, mono.coefficient)])
+            op = SparseOperator(1, [0], [0], [mono.coefficient])
             for a in range(cfg.bosons - 1, -1, -1):  # high boson first, boson 0 least significant
                 op = op.kron(powers[mono.exponents.get(a, 0)])
             total = total + op

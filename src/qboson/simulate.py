@@ -21,7 +21,6 @@ from .hamiltonian import HamiltonianSpec, potential_grid_diagonal
 # fourier_kernel_multi is no longer called here but stays a module attribute,
 # since perfbench/tracing.py wraps it by this name
 from .operators import fourier_kernel, fourier_kernel_multi, momentum_values  # noqa: F401
-from .sparse import SparseOperator
 
 APPLY_QUBIT_CAP = 20
 MATRIX_QUBIT_CAP = 12
@@ -198,8 +197,8 @@ class Propagator:
     unitary: np.ndarray
 
 
-def exact_propagator(hamiltonian, time: float) -> Propagator:
-    """Ground-truth propagator; ``hamiltonian`` is a SparseOperator or dense array.
+def exact_propagator(hamiltonian: np.ndarray, time: float) -> Propagator:
+    """Ground-truth propagator of the dense matrix ``hamiltonian``.
 
     H is diagonalized one reflection sector at a time: wherever flipping the
     low k bits of both indices leaves H exactly unchanged, each block splits
@@ -207,10 +206,9 @@ def exact_propagator(hamiltonian, time: float) -> Propagator:
     blocks' propagators (``_join``). A potential even in each boson gives
     2**bosons blocks; an H with no such symmetry is one block.
     """
-    sparse = isinstance(hamiltonian, SparseOperator)
-    if (hamiltonian.dim if sparse else np.shape(hamiltonian)[0]) > 1 << MATRIX_QUBIT_CAP:
+    if np.shape(hamiltonian)[0] > 1 << MATRIX_QUBIT_CAP:  # before anything is copied
         raise CapExceededError("exact_propagator capped at dimension 4096")
-    h = hamiltonian.to_dense() if sparse else np.asarray(hamiltonian)
+    h = np.asarray(hamiltonian)
     # a real symmetric H stays real: eigh then runs several times faster
     h = h.astype(np.float64 if np.isrealobj(h) else np.complex128, copy=False)
     if not _hermitian(h):

@@ -1,17 +1,15 @@
-"""Coordinate-list complex matrices used for operators, oracles, and verification.
+"""Coordinate-list complex matrices from which the operators are built.
 
-Entries are kept canonical: sorted by (row, col), duplicates summed, and exact
-zeros dropped. ``merge_rows`` is the one sort-and-merge kernel and the one zero
-rule; ``PauliSum`` orders its strings with it too.
+``SparseOperator(dim, rows, cols, vals)`` is the one constructor, and
+``SparseOperator(dim)`` the empty operator. Entries are kept canonical: sorted
+by (row, col), duplicates summed, and exact zeros dropped. ``merge_rows`` is
+the one sort-and-merge kernel and the one zero rule; ``PauliSum`` orders its
+strings with it too. The references that check the program (the exact
+propagator, the block-encoding check) take dense arrays.
 """
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
-
-# max |M - M^dagger| allowed for a matrix to certify as Hermitian
-HERMITICITY_TOL = 1e-12
 
 
 class SparseOperator:
@@ -37,14 +35,6 @@ class SparseOperator:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_entries(cls, dim: int, entries: Iterable[tuple[int, int, complex]]) -> "SparseOperator":
-        ent = list(entries)
-        if not ent:
-            return cls(dim)
-        r, c, v = zip(*ent)
-        return cls(dim, r, c, v)
-
-    @classmethod
     def from_dense(cls, matrix) -> "SparseOperator":
         m = np.asarray(matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -56,10 +46,6 @@ class SparseOperator:
     def identity(cls, dim: int) -> "SparseOperator":
         idx = np.arange(dim)
         return cls(dim, idx, idx, np.ones(dim))
-
-    @classmethod
-    def zeros(cls, dim: int) -> "SparseOperator":
-        return cls(dim)
 
     # -- views -------------------------------------------------------------
 
@@ -115,21 +101,6 @@ class SparseOperator:
                               (self.rows[:, None] * d + other.rows).ravel(),
                               (self.cols[:, None] * d + other.cols).ravel(),
                               (self.vals[:, None] * other.vals).ravel())
-
-    # -- diagnostics ---------------------------------------------------------
-
-    def max_abs(self) -> float:
-        return float(np.abs(self.vals).max()) if self.nnz else 0.0
-
-    def max_abs_diff(self, other: "SparseOperator") -> float:
-        return (self - other).max_abs()
-
-    def hermiticity_error(self) -> float:
-        """max |M - M^dagger| over all entries."""
-        return self.max_abs_diff(self.dagger())
-
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return self.hermiticity_error() <= tol
 
     def _check_dim(self, other: "SparseOperator") -> None:
         if self.dim != other.dim:
@@ -188,12 +159,8 @@ def _nonzero(take, vals):
     return (np.flatnonzero(keep) if isinstance(take, slice) else take[keep]), vals[keep]
 
 
-def is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 def qubit_count(dim: int) -> int:
     """Number of qubits for a 2**n dimension; raises if dim is not a power of two."""
-    if not is_power_of_two(dim):
+    if dim < 1 or dim & (dim - 1):
         raise ValueError(f"dimension {dim} is not a power of two")
     return dim.bit_length() - 1

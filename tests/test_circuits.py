@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qboson import (Circuit, Gate, HamiltonianSpec, KineticScheme, Monomial,
-                    PauliSum, PauliTerm, PolynomialPotential, TruncationConfig,
+from qboson import (CapExceededError, Circuit, Gate, HamiltonianSpec, KineticScheme,
+                    Monomial, PauliSum, PauliTerm, PolynomialPotential, TruncationConfig,
                     circuit_from_text, circuit_matrix, circuit_to_text,
                     fourier_kernel, potential_grid_diagonal, qft_circuit,
                     trotter_evolution, trotter_step, zstring_rotation)
@@ -258,6 +258,16 @@ class TestTrotterEvolution:
     def test_steps_validation(self):
         with pytest.raises(ValueError):
             trotter_evolution(anharmonic_spec(), 1.0, 0)
+
+    def test_gate_list_capped_before_it_is_formed(self, monkeypatch):
+        # the cap is lowered to four steps of this spec's gates
+        from qboson import circuits
+        spec = anharmonic_spec(qubits=2)
+        gates = len(trotter_step(spec, 1.0)[0])
+        monkeypatch.setattr(circuits, "EXPANSION_STRING_CAP", 4 * gates)
+        assert len(trotter_evolution(spec, 1.0, 4)[0]) == 4 * gates
+        with pytest.raises(CapExceededError, match=f"^5 Trotter steps of {gates} gates each"):
+            trotter_evolution(spec, 1.0, 5)
 
     @pytest.mark.parametrize("n_qubits", [6, 8, 10])
     def test_unitarity_at_size(self, n_qubits):

@@ -59,6 +59,23 @@ class TestTable1:
             assert main(["table1", "--q-max", "4", "--out", str(p)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_q_max_capped_before_the_first_row(self, capsys, monkeypatch):
+        # Q 2**Q sums pass EXPANSION_STRING_CAP = 2**25 from Q=21 on
+        from qboson import cli
+
+        class RowStarted(Exception):
+            pass
+
+        def row_started(*args):
+            raise RowStarted
+        monkeypatch.setattr(cli, "fock_x", row_started)
+        assert main(["table1", "--q-max", "21"]) == 3
+        err = capsys.readouterr().err
+        assert all(w in err for w in ("--q-max 21", "21 * 2**21 sums", "33554432")), err
+        assert main(["table1", "--q-max", str(10 ** 12)]) == 3  # forms no 2**(10**12)
+        with pytest.raises(RowStarted):  # Q=20 is admitted
+            main(["table1", "--q-max", "20"])
+
 
 class TestCount:
     def test_coordinate_raw_counts(self, spec_file, capsys):
@@ -372,6 +389,14 @@ class TestTrotter:
         assert set(doc["layers"]) == {"potential", "qft", "kinetic", "inverse_qft"}
         text = circ_path.read_text()
         assert text.startswith("# circuit n_qubits=3")
+
+    def test_steps_capped_before_the_gate_list(self, spec_file, capsys):
+        # a billion steps of the step's gates would be a list of 10**9 x len(step)
+        assert main(["trotter", spec_file(ANHARMONIC), "--time", "1",
+                     "--steps", "1000000000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "1000000000 Trotter steps of" in captured.err and "33554432" in captured.err
 
     def test_verify_prints_halving_ratio(self, spec_file, capsys):
         path = spec_file(ANHARMONIC)

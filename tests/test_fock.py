@@ -42,9 +42,9 @@ def chain_potential(spec):
     cfg = spec.config
     degree = max((max(m.exponents.values(), default=0) for m in spec.potential.terms), default=0)
     powers = chain_powers(chain_x(cfg.cutoff, spec.fock_params), degree)
-    total = SparseOperator.zeros(cfg.cutoff ** cfg.bosons)
+    total = SparseOperator(cfg.cutoff ** cfg.bosons)
     for mono in spec.potential.terms:
-        op = SparseOperator.from_entries(1, [(0, 0, mono.coefficient)])
+        op = SparseOperator(1, [0], [0], [mono.coefficient])
         for a in range(cfg.bosons - 1, -1, -1):
             op = op.kron(powers[mono.exponents.get(a, 0)])
         total = total + op

@@ -185,8 +185,9 @@ class TestFockOperators:
 
     @pytest.mark.parametrize("cutoff", [2, 4, 8, 16])
     def test_hermiticity_exact(self, cutoff):
-        assert fock_x(cutoff).hermiticity_error() == 0.0
-        assert fock_p(cutoff).hermiticity_error() == 0.0
+        for op in (fock_x(cutoff), fock_p(cutoff)):
+            m = op.to_dense()
+            assert np.array_equal(m, m.conj().T)
 
     @pytest.mark.parametrize("cutoff", [4, 8, 16])
     def test_canonical_commutator_below_cutoff(self, cutoff):

@@ -9,10 +9,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qboson import (CapExceededError, Circuit, Gate, HamiltonianSpec, Monomial,
-                    PolynomialPotential, Propagator, SparseOperator, StateVector,
-                    TruncationConfig, apply_circuit, assemble_hamiltonian_matrix,
-                    circuit_matrix, exact_propagator, expand_potential_zsum,
-                    fourier_kernel, fourier_kernel_multi, kinetic_zsum,
+                    PolynomialPotential, StateVector, TruncationConfig, apply_circuit,
+                    assemble_hamiltonian_matrix, circuit_matrix, exact_propagator,
+                    expand_potential_zsum, fourier_kernel, fourier_kernel_multi, kinetic_zsum,
                     potential_grid_diagonal, qft_circuit, reconstruct, trotter_error,
                     trotter_evolution, trotter_step)
 from qboson.circuits import LAYER_NAMES, GateCountReport
@@ -237,12 +236,11 @@ class TestExactPropagator:
         h[0, -1], h[-1, 0] = unit, np.conj(unit)
         assert np.isfinite(exact_propagator(h, 1.0).unitary).all()
 
-    def test_cap_before_dense(self, monkeypatch):
-        # 8192 x 8192 complex would be 1 GiB: the cap must fire before to_dense
-        monkeypatch.setattr(SparseOperator, "to_dense",
-                            lambda op: pytest.fail("densified before the size cap"))
+    def test_cap_before_dense(self):
+        # an 8192 x 8192 view of one zero allocates nothing; a copy of it would be
+        # 512 MiB, so the cap must read the shape before anything is copied
         with pytest.raises(CapExceededError):
-            exact_propagator(SparseOperator.identity(1 << 13), 1.0)
+            exact_propagator(np.broadcast_to(0.0, (1 << 13, 1 << 13)), 1.0)
 
     def test_real_and_complex_input_agree(self):
         h = assemble_hamiltonian_matrix(anharmonic_spec())
@@ -250,11 +248,6 @@ class TestExactPropagator:
         u_real = exact_propagator(h, 0.7).unitary
         u_complex = exact_propagator(h.astype(np.complex128), 0.7).unitary
         assert np.abs(u_real - u_complex).max() < 1e-13
-
-    def test_accepts_sparse_operator(self):
-        prop = exact_propagator(SparseOperator.identity(4), 1.0)
-        assert isinstance(prop, Propagator)
-        assert np.allclose(np.diag(prop.unitary), np.exp(-1j))
 
 
 def polynomial_spec(bosons, qubits, terms):

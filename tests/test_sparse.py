@@ -17,10 +17,16 @@ VALUES = st.one_of(st.sampled_from([1.0, -1.0, 1j, -1j]),
                    st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False))
 
 
+def as_columns(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return (np.array([e[0] for e in entries], dtype=np.int64),
+            np.array([e[1] for e in entries], dtype=np.int64),
+            np.array([e[2] for e in entries], dtype=complex))
+
+
 def sparse_operators(dim: int):
     entry = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1), VALUES)
     return st.lists(entry, max_size=2 * dim).map(
-        lambda ent: SparseOperator.from_entries(dim, ent))
+        lambda ent: SparseOperator(dim, *as_columns(ent)))
 
 
 def assert_canonical(op: SparseOperator) -> None:
@@ -51,11 +57,11 @@ def test_kron_matches_dense(d1, d2, data):
 
 def test_empty_operands():
     a = SparseOperator.from_dense(np.arange(9).reshape(3, 3))
-    empty = SparseOperator.zeros(3)
-    for product in (a @ empty, empty @ a, empty @ empty, a.kron(SparseOperator.zeros(2)),
-                    SparseOperator.zeros(2).kron(a)):
+    empty = SparseOperator(3)
+    for product in (a @ empty, empty @ a, empty @ empty, a.kron(SparseOperator(2)),
+                    SparseOperator(2).kron(a)):
         assert product.nnz == 0
-    assert a.kron(SparseOperator.zeros(2)).dim == 6
+    assert a.kron(SparseOperator(2)).dim == 6
 
 
 def test_rows_without_entries_and_cancellation():
@@ -93,12 +99,6 @@ def no_sort_if(unique: bool):
     """Make ``np.lexsort`` fail while ``unique`` (sorted input must skip the sort)."""
     fail = AssertionError("entries already in order were sorted again")
     return mock.patch.object(np, "lexsort", side_effect=fail) if unique else contextlib.nullcontext()
-
-
-def as_columns(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return (np.array([e[0] for e in entries], dtype=np.int64),
-            np.array([e[1] for e in entries], dtype=np.int64),
-            np.array([e[2] for e in entries], dtype=complex))
 
 
 def column_bytes(*columns) -> list[bytes]:
