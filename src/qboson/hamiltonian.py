@@ -23,7 +23,7 @@ import numpy as np
 from .errors import CapExceededError, SpecFileError
 from .operators import (FockParams, TruncationConfig, coordinate_values, fock_p,
                         fock_x, momentum_values, p2_finite_difference)
-from .pauli import PauliSum, mask_bits, single_qubit_words
+from .pauli import PauliSum, mask_bits, mask_words, single_qubit_words
 from .sparse import SparseOperator
 
 FOCK_TOTAL_QUBIT_CAP = 14  # dense/banded matrix products stop being desk-scale
@@ -288,6 +288,10 @@ def _zsum(config: TruncationConfig, step: float,
                                f"strings, capped at {EXPANSION_STRING_CAP}")
     if not shapes:
         return PauliSum(n)
+    if n * mask_words(n) > EXPANSION_STRING_CAP:  # the words of single_qubit_words(n)
+        raise CapExceededError(f"the Z-sum {what} at bosons {config.bosons}, qubits_per_boson "
+                               f"{q} needs {n} x {mask_words(n)} mask words, capped at "
+                               f"{EXPANSION_STRING_CAP}")
     z, coeff, lost = _shape_blocks(q, n, alpha, groups, shapes)
     if lost is not None and not vanishing_ok:
         raise _underflow(what, lost, config)
@@ -387,6 +391,10 @@ def kinetic_zsum(spec: HamiltonianSpec) -> PauliSum:
     """
     _require_route(spec, "the Z-sum kinetic term", (KineticScheme.MOMENTUM_DIAGONAL,))
     cfg = spec.config
+    if cfg.bosons ** 2 > EXPANSION_STRING_CAP:  # B monomials of B exponents each
+        raise CapExceededError(f"the Z-sum kinetic term at bosons {cfg.bosons}, "
+                               f"qubits_per_boson {cfg.qubits_per_boson} forms {cfg.bosons}**2 "
+                               f"exponents, capped at {EXPANSION_STRING_CAP}")
     return _zsum(cfg, cfg.momentum_spacing,
                  [(0.5, tuple(2 * (b == a) for b in range(cfg.bosons)))
                   for a in range(cfg.bosons)], "kinetic term", vanishing_ok=True)

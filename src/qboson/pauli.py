@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import cmath
 from bisect import bisect_left
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -243,49 +242,20 @@ def count_strings(psum: PauliSum) -> int:
 
 @dataclass
 class StringCensus:
-    """Per-length statistics of a Pauli sum (identity counted at length 0)."""
+    """Strings per length (non-identity letters; the identity has length 0)."""
 
     total: int
     by_length: dict[int, int]
-    y_counts: dict[int, Counter] = field(default_factory=dict)  # length -> {#Y: strings}
-    letters: dict[int, Counter] = field(default_factory=dict)   # length -> letter tally
 
     def lengths(self) -> list[int]:
         return sorted(self.by_length)
 
 
 def string_census(psum: PauliSum) -> StringCensus:
-    """Histogram the strings by length, with per-length #Y and letter tallies,
-    from mask popcounts alone: #Y |x&z|, #X |x| - #Y, #Z |z| - #Y, length
-    #X + #Y + #Z.
-
-    The three popcounts of each string are packed into one integer and counted
-    with ``np.unique``, so the work per string is a few array passes."""
-    x, z = psum.x_words, psum.z_words
-    base = psum.n_qubits + 1
-    packed = _popcount(x & z)
-    for words in (x, z):
-        packed *= base
-        packed += _popcount(words)
-    keys, counts = np.unique(packed, return_counts=True)
-    census = StringCensus(packed.size, {})
-    by_length, y_counts, letters = census.by_length, census.y_counts, census.letters
-    for key, m in zip(keys.tolist(), counts.tolist()):  # item adds: Counter.update costs more
-        rest, n_z_bits = divmod(key, base)
-        y, n_x_bits = divmod(rest, base)
-        l = n_x_bits + n_z_bits - y
-        if l not in by_length:
-            by_length[l], y_counts[l], letters[l] = 0, Counter(), Counter()
-        by_length[l] += m
-        y_counts[l][y] += m
-        tally = letters[l]
-        if n_x_bits > y:
-            tally["X"] += (n_x_bits - y) * m
-        if y:
-            tally["Y"] += y * m
-        if n_z_bits > y:
-            tally["Z"] += (n_z_bits - y) * m
-    return census
+    """Histogram the strings by length, ``popcount(x | z)``, in one bincount."""
+    counts = np.bincount(_popcount(psum.x_words | psum.z_words))
+    lengths = np.flatnonzero(counts)
+    return StringCensus(len(psum), dict(zip(lengths.tolist(), counts[lengths].tolist())))
 
 
 # -- text serialization --------------------------------------------------------

@@ -380,9 +380,10 @@ def layered_step(circuit: Circuit, report: GateCountReport,
 
     Each diagonal layer is one ``("angles", theta)``, fused over the basis
     index. Each QFT layer is one ``("window", shift, u)`` per boson, u its
-    gates on that boson's own qubits, with its zero-qubit PHASE gates folded
-    into the first window; past WINDOW_QUBIT_CAP qubits per boson, or when a
-    gate spans two bosons, its gates are compiled for the full register.
+    gates on that boson's own qubits (one u for the bosons with equal gates),
+    with its zero-qubit PHASE gates folded into a copy for the first window;
+    past WINDOW_QUBIT_CAP qubits per boson, or when a gate spans two bosons,
+    its gates are compiled for the full register.
     """
     n, q = circuit.n_qubits, qubits_per_boson
     if n > MATRIX_QUBIT_CAP:
@@ -422,12 +423,15 @@ def _windows(gates, n: int, q: int) -> list | None:
         if any(b // q != a for b in gate.qubits):
             return None
         per_boson.setdefault(a, []).append(gate.shifted(-a * q))
-    if not per_boson:
-        return None
-    windows = [("window", a * q, circuit_matrix(Circuit(q, boson_gates)))
-               for a, boson_gates in sorted(per_boson.items())]
-    first = windows[0][2]
-    first *= np.exp(1j * const)
+    matrices: dict[tuple, np.ndarray] = {}  # bosons with equal gates share one unitary
+    windows = []
+    for a, boson_gates in sorted(per_boson.items()):
+        key = tuple(boson_gates)
+        if key not in matrices:
+            matrices[key] = circuit_matrix(Circuit(q, boson_gates))
+        windows.append(("window", a * q, matrices[key]))
+    _, shift, first = windows[0]
+    windows[0] = ("window", shift, first * np.exp(1j * const))  # a copy: first is shared
     return windows
 
 

@@ -729,6 +729,61 @@ class TestRefusals:
         assert "nan exceeds tol" in capsys.readouterr().err
 
 
+def many_bosons(bosons, q=1):
+    """x_0**2 on the first of ``bosons`` bosons; one exponent per boson."""
+    return {"bosons": bosons, "qubits_per_boson": q, "radius": 2.0,
+            "potential": [{"coeff": 1.0, "exponents": [2] + [0] * (bosons - 1)}]}
+
+
+def chain(bosons, q):
+    """The coupled chain sum_i (1.5 x_i**2 + x_i**4 / 4) - sum_i x_i x_(i+1)."""
+    def term(coeff, powers):
+        exponents = [0] * bosons
+        for site, power in powers:
+            exponents[site] = power
+        return {"coeff": coeff, "exponents": exponents}
+    potential = [term(c, [(i, d)]) for i in range(bosons) for c, d in ((1.5, 2), (0.25, 4))]
+    potential += [term(-1.0, [(i, 1), (i + 1, 1)]) for i in range(bosons - 1)]
+    return {"bosons": bosons, "qubits_per_boson": q, "radius": 2.0, "potential": potential}
+
+
+class TestManyBosons:
+    def test_refused_before_the_tables(self, spec_file, capsys, monkeypatch):
+        # 50,000 qubits need 50,000 masks of 782 words, and the kinetic term of 6,000
+        # bosons 6,000 exponent tuples of 6,000 entries: both pass EXPANSION_STRING_CAP
+        from qboson import hamiltonian, pauli
+        for owner in (hamiltonian, pauli):
+            monkeypatch.setattr(owner, "single_qubit_words",
+                                lambda n: pytest.fail("a mask table formed before the cap"))
+        assert main(["count", spec_file(many_bosons(50_000))]) == 3
+        assert "bosons 50000, qubits_per_boson 1" in capsys.readouterr().err
+        monkeypatch.setattr(hamiltonian, "_zsum",
+                            lambda *a, **k: pytest.fail("a Z-sum formed before the cap"))
+        path = spec_file(many_bosons(6000))
+        for command in ["trotter", "blockenc"]:
+            code, err = run_subcommand(command, path), capsys.readouterr().err
+            assert code == 3 and "bosons 6000, qubits_per_boson 1" in err, command
+
+    @pytest.mark.parametrize("command,cap,refusal", [
+        ("count", 10, "needs 10 x 1 mask words"),  # 10 qubits, one word per mask
+        ("blockenc", 100, "forms 10**2 exponents")])  # 10 tuples of 10 exponents
+    def test_cap_boundary(self, command, cap, refusal, spec_file, capsys, monkeypatch):
+        from qboson import hamiltonian
+        path = spec_file(many_bosons(10))
+        monkeypatch.setattr(hamiltonian, "EXPANSION_STRING_CAP", cap)
+        assert run_subcommand(command, path) == 0
+        monkeypatch.setattr(hamiltonian, "EXPANSION_STRING_CAP", cap - 1)
+        assert run_subcommand(command, path) == 3
+        assert refusal in capsys.readouterr().err
+
+    def test_large_registers_still_run(self, spec_file, capsys):
+        code, out = run_cli(["count", spec_file(many_bosons(20_000))], capsys)
+        assert code == 0 and out.splitlines()[1] == "1,coordinate-qft,1,0,1,0:1,1,0"
+        path = spec_file(chain(32, 4))  # 128 qubits
+        for command in ["count", "trotter", "blockenc"]:
+            assert run_subcommand(command, path) == 0, command
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run([sys.executable, "-m", "qboson.cli", "table1", "--q-max", "2"],

@@ -546,6 +546,33 @@ class TestLayeredStep:
         assert kinds.count("angles") == 2 and "window" not in kinds and "h" in kinds
         assert np.abs(layered.power(1) - circuit_matrix(crossed)).max() <= 1e-12
 
+    def test_equal_windows_built_once(self, monkeypatch):
+        # both bosons run the same QFT gates: one unitary per QFT layer, shared
+        from qboson import simulate
+        step, report = trotter_step(coupled_spec(2, 4), 0.1)
+        built, original = [], simulate.circuit_matrix
+        monkeypatch.setattr(simulate, "circuit_matrix", lambda c: built.append(c) or original(c))
+        windows = [op[2] for op in layered_step(step, report, 4).ops if op[0] == "window"]
+        assert len(built) == 2 and len(windows) == 4
+        # the layer's phase rides on a copy for the first boson; the shared one is unchanged
+        for (first, second), circuit in zip([windows[:2], windows[2:]], built):
+            assert not np.shares_memory(first, second)
+            assert np.array_equal(second, original(circuit))
+
+    def test_diagonal_layer_that_permutes_refused(self):
+        step, report = trotter_step(coupled_spec(1, 3), 0.1)
+        counts = dict(report.layers)
+        counts["potential"] = counts["potential"] + Counter(X=1)
+        permuting = Circuit(step.n_qubits, [Gate("X", (0,))] + step.gates)
+        with pytest.raises(ValueError, match="the potential layer permutes basis states"):
+            layered_step(permuting, GateCountReport(counts), 3)
+
+    def test_step_on_another_register_refused(self):
+        spec = coupled_spec(2, 2)
+        step, report = trotter_step(coupled_spec(1, 3), 0.25)
+        with pytest.raises(ValueError, match="step on 3 qubits does not match 4 qubits"):
+            trotter_error(spec, 0.5, 2, step=layered_step(step, report, 3))
+
     @pytest.mark.parametrize("steps,squared", [(1, False), (2, False), (5, False), (40, True)])
     def test_power_on_both_sides_of_the_cost_rule(self, steps, squared, monkeypatch):
         # few steps apply the layers each time, many square one application
